@@ -57,17 +57,19 @@
 //! * `kernel_speedup` — dispatched-backend over scalar-backend steps/s
 //!   on the raw batched kernel path (`--min-kernel-speedup`, default
 //!   1.3). Gated only when the dispatched backend is not already
-//!   scalar (so the gate stays green on hosts without SSE2/AVX2 and
+//!   scalar (so the gate stays green on hosts without AVX2 and
 //!   under `RESEMBLE_SIMD=scalar`) and the host has at least 2 cores
 //!   (below that, background load lands entirely on the measured core
 //!   and the ratio wobbles across the floor; `--write-baseline`
 //!   preserves the committed value there).
 //! * `kernel_avx512_speedup` — Avx512-tier over scalar steps/s
-//!   (`--min-avx512-speedup`, default 1.1). Auto-skipped with a named
-//!   warning on hosts without avx512f+avx512bw, and below 2 cores like
-//!   the kernel metric; measured independently of the dispatched
-//!   backend so a `RESEMBLE_SIMD` override cannot hide a wide-lane
-//!   regression on a capable host.
+//!   (`--min-avx512-speedup`, default 1.1). The tier runs the same
+//!   compiled AVX2 f32 kernels as the `Avx2` tier, so on AVX-512 hosts
+//!   this reads like `kernel_speedup`. Auto-skipped with a named warning
+//!   on hosts without avx2+avx512f+avx512bw, and below 2 cores like the
+//!   kernel metric; measured independently of the dispatched backend so
+//!   a `RESEMBLE_SIMD` override cannot hide a regression of the tier on
+//!   a capable host.
 //! * `matrix_speedup` — parallel over serial `run_matrix` wall-clock
 //!   (`--min-matrix-speedup`, default 2.0). Gated only on hosts with at
 //!   least 4 cores (auto-skipped below: the ratio would measure
@@ -146,9 +148,9 @@ struct KernelReport {
     /// when scalar *is* the dispatched backend.
     speedup: f64,
     /// Avx512-tier steps/s over scalar steps/s; 0.0 when the host lacks
-    /// the tier (avx512f+avx512bw). Gated independently of `speedup` so
-    /// the wide lanes can't silently rot back to AVX2 rates — and so a
-    /// host whose dispatch was overridden still measures the tier.
+    /// the tier (avx2+avx512f+avx512bw). Gated independently of
+    /// `speedup` so a host whose dispatch was overridden still measures
+    /// the tier.
     avx512_speedup: f64,
 }
 
@@ -886,7 +888,7 @@ fn main() {
         kernel_cores_skip.clone()
     } else {
         Some(format!(
-            "host lacks the avx512 tier (needs avx512f+avx512bw; detected features: {})",
+            "host lacks the avx512 tier (needs avx2+avx512f+avx512bw; detected features: {})",
             simd::capabilities().summary()
         ))
     };
@@ -899,7 +901,7 @@ fn main() {
         if rep.kernel.dispatched == "scalar" {
             eprintln!(
                 "error: cannot write a baseline from a scalar-dispatched run \
-                 (RESEMBLE_SIMD=scalar or a host without SSE2): kernel_speedup \
+                 (RESEMBLE_SIMD=scalar or a host without AVX2): kernel_speedup \
                  would freeze at 1.0"
             );
             std::process::exit(2);

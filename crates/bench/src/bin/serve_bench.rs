@@ -35,7 +35,7 @@
 //! come from the vector GEMM, so a scalar host would gate noise), and
 //! the int8 wide-tier speedup (Avx512 tier forced vs scalar forced on
 //! the same int8 pooled forward, ≥2.0x, skipped with a named warning on
-//! hosts without avx512f+avx512bw).
+//! hosts without avx2+avx512f+avx512bw).
 
 use resemble_bench::cli::Options;
 use resemble_bench::runner::maybe_write_json;
@@ -97,7 +97,7 @@ struct Int8Report {
     /// dispatched scalar, where int8 has no vector GEMM to win with.
     gated: bool,
     /// Int8 pooled forward rows/s with the Avx512 tier forced; 0.0 when
-    /// the host lacks the tier (avx512f+avx512bw).
+    /// the host lacks the tier (avx2+avx512f+avx512bw).
     avx512_rows_per_s: f64,
     /// Int8 pooled forward rows/s with the scalar backend forced — the
     /// denominator of `avx512_vs_scalar`, measured in the same process.
@@ -187,7 +187,7 @@ fn run_int8_scenario(model: &str, rows: usize, iters: usize, seed: u64) -> Int8R
                 0.0,
                 0.0,
                 Some(format!(
-                    "host lacks the avx512 tier (needs avx512f+avx512bw; detected features: {})",
+                    "host lacks the avx512 tier (needs avx2+avx512f+avx512bw; detected features: {})",
                     simd::capabilities().summary()
                 )),
             )

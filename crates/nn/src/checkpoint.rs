@@ -97,8 +97,9 @@ pub fn save_mlp_binary<W: Write>(w: &mut W, net: &Mlp) -> io::Result<()> {
 }
 
 /// Read a network written by [`save_mlp_binary`], validating the header
-/// against the declared architecture before any allocation. The loaded
-/// network's parameters are bit-identical to the saved ones.
+/// against the declared architecture; a stream shorter than its header
+/// declares is an error. The loaded network's parameters are
+/// bit-identical to the saved ones.
 pub fn load_mlp_binary<R: Read>(r: &mut R) -> io::Result<Mlp> {
     let mut magic = [0u8; 8];
     r.read_exact(&mut magic)?;
@@ -134,11 +135,24 @@ pub fn load_mlp_binary<R: Read>(r: &mut R) -> io::Result<Mlp> {
             "parameter count {param_count} does not match architecture ({expect})"
         )));
     }
-    let mut params = Vec::with_capacity(expect);
-    let mut b = [0u8; 4];
-    for _ in 0..expect {
-        r.read_exact(&mut b)?;
-        params.push(f32::from_bits(u32::from_le_bytes(b)));
+    // Fixed-size chunked reads and no up-front reservation from the
+    // header's count: the vector grows only as parameters arrive, so a
+    // short stream fails at end-of-file instead of aborting on a
+    // terabyte allocation.
+    const CHUNK: usize = 1024; // parameters per read
+    let mut params = Vec::new();
+    let mut buf = [0u8; 4 * CHUNK];
+    let mut left = expect;
+    while left > 0 {
+        let n = left.min(CHUNK);
+        let bytes = &mut buf[..4 * n];
+        r.read_exact(bytes)?;
+        params.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]]))),
+        );
+        left -= n;
     }
     let mut net = Mlp::new(&sizes, act, 0);
     net.load_flat(&params);
@@ -201,6 +215,20 @@ mod tests {
         assert!(
             load_mlp_binary(&mut &truncated[..]).is_err(),
             "truncated stream"
+        );
+
+        // A 36-byte file declaring two 2^20-wide layers claims ~2^40
+        // parameters (4 TiB) with none behind it: the short stream must
+        // error, not make the loader reserve the declared count.
+        let mut huge = buf[..16].to_vec();
+        huge.extend_from_slice(&2u32.to_le_bytes());
+        huge.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        huge.extend_from_slice(&(1u32 << 20).to_le_bytes());
+        huge.extend_from_slice(&((1u64 << 40) + (1u64 << 20)).to_le_bytes());
+        assert_eq!(huge.len(), 36);
+        assert!(
+            load_mlp_binary(&mut huge.as_slice()).is_err(),
+            "huge declared architecture"
         );
     }
 

@@ -8,7 +8,7 @@
 //! hardware-faithful rule of Eq. 11) plus Adam for software ablations.
 //!
 //! The batched kernels dispatch through [`simd`] to runtime-detected
-//! AVX2/SSE2 implementations (overridable with `RESEMBLE_SIMD`), all
+//! AVX-512/AVX2 tiers (overridable with `RESEMBLE_SIMD`), all
 //! bit-identical to the scalar fallback by construction.
 //!
 //! ```

@@ -153,8 +153,8 @@ const LANES_MAX_FAN_IN: usize = 64;
 const LANES_MIN_FAN_OUT: usize = 16;
 
 /// The widest int8 pair-lanes vector body across backends — AVX-512's
-/// 16 outputs per iteration (AVX2: 8, SSE2/NEON: 4). The interleaved
-/// layout pads `fan_out` up to a multiple of this with zero weights so
+/// 16 outputs per iteration (AVX2: 8). The interleaved layout pads
+/// `fan_out` up to a multiple of this with zero weights so
 /// *every* tier's vector body covers the whole output row and no
 /// backend falls into the scalar lanes tail. Zero weights contribute
 /// exact zeros to the i32 accumulator, so the padding never changes a

@@ -1,15 +1,25 @@
 //! Runtime-dispatched SIMD kernels for the batched controller datapath,
 //! bit-identical across backends *by construction*.
 //!
-//! Every batched kernel in this crate funnels through this module. Five
-//! backends implement each kernel: explicit AVX-512 (16-lane), AVX2
-//! (8-lane), and SSE2 (4-lane) `std::arch` intrinsics on x86-64, NEON
-//! (4-lane) intrinsics on aarch64, and the portable scalar code (the
-//! former `matrix.rs` / `mlp.rs` / `activation.rs` loops, moved here
-//! verbatim). The backend is chosen once at startup by [`dispatched`]
-//! via runtime feature detection, overridable with
-//! `RESEMBLE_SIMD={avx512,avx2,sse2,neon,scalar}`; tests and benches can
-//! pin a backend per thread with [`force`].
+//! Every batched kernel in this crate funnels through this module. Three
+//! backends exist: AVX-512 and AVX2 on x86-64, and the portable scalar
+//! code (the former `matrix.rs` / `mlp.rs` / `activation.rs` loops, moved
+//! here verbatim). The f32 kernels are written once: `f32_kernels!`
+//! stamps the scalar source into `mod scalar` and, under
+//! `#[target_feature(enable = "avx2")]`, into `mod avx2`, so LLVM
+//! vectorizes the same loops for 8-lane vectors. Both x86 tiers run that
+//! AVX2 copy; a copy compiled with `avx512f` was slower than it at every
+//! measured shape (EXPERIMENTS.md), so the tiers differ only in their
+//! int8 forms. Only the int8 path keeps hand-written intrinsic forms: the
+//! GEMMs, because compiled scalar code cannot produce `pmaddwd`,
+//! `vpdpbusd` or `vpdpwssd`, and the `max_abs_f32`/`quantize_i8` helpers,
+//! whose compiled twins ran the pooled int8 forward 1.7–4.2x slower on
+//! either tier (EXPERIMENTS.md). Other architectures (aarch64 included)
+//! run the scalar source, which LLVM vectorizes for the target's
+//! baseline SIMD on its own. The backend is chosen once at startup by
+//! [`dispatched`] via runtime feature detection, overridable with
+//! `RESEMBLE_SIMD={avx512,avx2,scalar}`; tests and benches can pin a
+//! backend per thread with [`force`].
 //!
 //! # Bit-identity by construction
 //!
@@ -18,28 +28,27 @@
 //! fallback — not merely close. That is guaranteed structurally, never
 //! by tolerance:
 //!
-//! - **One accumulator per output element.** Vectorization is only
-//!   across independent output elements / batch lanes; no per-element
-//!   sum is ever split across vector lanes, so there are no horizontal
-//!   reductions and no reassociation.
-//! - **Inner dimension in ascending scalar order per lane.** Each lane
-//!   walks `k = 0, 1, 2, …` exactly like the scalar loop.
-//! - **Non-fused `mul` + `add` only.** No FMA intrinsics anywhere (and
-//!   Rust never contracts `a + w * x` on its own), so each lane performs
-//!   the same two IEEE-754 rounding steps as the scalar code, in the
-//!   same operand order.
-//! - **Scalar tails run the identical per-element expressions.** Slice
-//!   lengths that are not a multiple of the vector width fall through to
-//!   the same scalar statements the fallback uses.
-//! - **Compares and selects are bit-exact.** ReLU clamps through
-//!   `andnot(x < 0, x)` rather than `max(0, x)`, preserving `-0.0` and
-//!   NaN exactly like the scalar `if *x < 0.0 { *x = 0.0 }`; derivative
-//!   masks multiply by an `and`-selected `{0.0, 1.0}`, reproducing the
-//!   scalar `d * 0.0` / `d * 1.0` including the sign of a `±0.0` result.
+//! - **One source, compiled per tier.** Every tier evaluates the same
+//!   IEEE-754 expressions in the same operand order. Rust never
+//!   contracts `a + w * x` into an FMA (not even with `avx512f`, which
+//!   implies FMA), and LLVM does not reorder float operations without
+//!   fast-math flags, so each element sees the same roundings on every
+//!   tier.
+//! - **One accumulator per output element.** The kernels loop across
+//!   independent output elements / batch lanes and walk the inner
+//!   dimension `k = 0, 1, 2, …` per lane, so vectorization never splits
+//!   a per-element sum across vector lanes — there is no float reduction
+//!   for the vectorizer to reassociate (and it refuses to without
+//!   fast-math).
+//! - **Compares and selects are bit-exact.** The ReLU clamp
+//!   `if *x < 0.0 { *x = 0.0 }` preserves `-0.0` and NaN, and the
+//!   derivative masks multiply by a selected `{0.0, 1.0}`, reproducing
+//!   `d * 0.0` / `d * 1.0` including the sign of a `±0.0` result — a
+//!   vectorized compare-and-select computes the same values.
 //!
-//! Consequently AVX2, SSE2, and scalar agree bit-for-bit on every input,
-//! which the backend-sweep proptest (`crates/nn/tests/backend_sweep.rs`)
-//! and this module's unit tests pin.
+//! Consequently every tier agrees bit-for-bit with scalar on every
+//! input, which the backend-sweep proptest
+//! (`crates/nn/tests/backend_sweep.rs`) and this module's unit tests pin.
 //!
 //! # Int8 kernels: exactness, not order
 //!
@@ -95,10 +104,11 @@
 //! new byte-equality argument — the existing int8 sweeps pin it.
 //!
 //! [`capabilities`] reports the feature bits backing this selection
-//! (`avx512f`, `avx512bw`, `avx512-vnni`, `avx-vnni`, `neon`); the
+//! (`avx2`, `avx512f`, `avx512bw`, `avx512-vnni`, `avx-vnni`); the
 //! `Avx512` tier requires `avx512f` *and* `avx512bw` (byte/word ops in
 //! the int8 kernels), which every AVX-512 server core since Skylake-SP
-//! provides.
+//! provides, plus `avx2` for the f32 kernels it shares with the `Avx2`
+//! tier.
 //!
 //! The `simd-outside-kernel` lint rule keeps all `std::arch` usage inside
 //! this file; add new kernels here (see CONTRIBUTING.md).
@@ -107,7 +117,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Environment variable that overrides backend selection
-/// (`avx2`/`sse2`/`scalar`); unavailable or unknown values fall back to
+/// (`avx512`/`avx2`/`scalar`); unavailable or unknown values fall back to
 /// the best detected backend with a warning on stderr.
 pub const BACKEND_ENV: &str = "RESEMBLE_SIMD";
 
@@ -120,29 +130,25 @@ pub const BACKEND_ENV: &str = "RESEMBLE_SIMD";
 /// backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelBackend {
-    /// 16-lane f32 vectors via AVX-512F intrinsics (int8 kernels also
-    /// need AVX-512BW, so availability requires both).
+    /// The `Avx2` tier's f32 kernels plus hand-written 512-bit int8
+    /// forms that need AVX-512F and AVX-512BW, so availability requires
+    /// all three features.
     Avx512,
-    /// 8-lane f32 vectors via AVX2 intrinsics.
+    /// 8-lane f32 vectors: the f32 kernels compiled with AVX2 enabled,
+    /// plus hand-written AVX2 int8 forms.
     Avx2,
-    /// 4-lane f32 vectors via SSE2 intrinsics (x86-64 baseline).
-    Sse2,
-    /// 4-lane f32 vectors via NEON intrinsics (aarch64 baseline).
-    Neon,
     /// The portable scalar fallback (always available).
     Scalar,
 }
 
 impl KernelBackend {
     /// Every backend the crate knows, widest first, scalar last. Names
-    /// parse on every architecture (so `RESEMBLE_SIMD=neon` on x86 warns
-    /// and clamps rather than reading as a typo); availability is what
-    /// gates actual dispatch. Tests iterate this to log skipped ISAs.
-    pub const ALL: [KernelBackend; 5] = [
+    /// parse on every architecture (so `RESEMBLE_SIMD=avx2` on aarch64
+    /// warns and clamps rather than reading as a typo); availability is
+    /// what gates actual dispatch. Tests iterate this to log skipped ISAs.
+    pub const ALL: [KernelBackend; 3] = [
         KernelBackend::Avx512,
         KernelBackend::Avx2,
-        KernelBackend::Sse2,
-        KernelBackend::Neon,
         KernelBackend::Scalar,
     ];
 
@@ -152,8 +158,6 @@ impl KernelBackend {
         match self {
             KernelBackend::Avx512 => "avx512",
             KernelBackend::Avx2 => "avx2",
-            KernelBackend::Sse2 => "sse2",
-            KernelBackend::Neon => "neon",
             KernelBackend::Scalar => "scalar",
         }
     }
@@ -174,14 +178,12 @@ impl KernelBackend {
             KernelBackend::Avx512 => {
                 std::arch::is_x86_feature_detected!("avx512f")
                     && std::arch::is_x86_feature_detected!("avx512bw")
+                    && std::arch::is_x86_feature_detected!("avx2")
             }
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => std::arch::is_x86_feature_detected!("sse2"),
-            #[cfg(target_arch = "aarch64")]
-            KernelBackend::Neon => std::arch::is_aarch64_feature_detected!("neon"),
-            _ => false,
+            #[cfg(not(target_arch = "x86_64"))]
+            KernelBackend::Avx512 | KernelBackend::Avx2 => false,
         }
     }
 }
@@ -248,15 +250,13 @@ pub fn dispatched() -> KernelBackend {
 }
 
 /// CPU feature bits backing kernel-lane selection, detected once per
-/// process. The `Avx512` tier gates on `avx512f && avx512bw`; within a
-/// tier the int8 GEMMs pick their VNNI instruction form from
+/// process. The `Avx512` tier gates on `avx2 && avx512f && avx512bw`;
+/// within a tier the int8 GEMMs pick their VNNI instruction form from
 /// `avx512_vnni`/`avx_vnni` (see the module docs). Telemetry and
 /// benchmark reports echo [`CpuCaps::summary`] so skipped metrics can
 /// name what the host lacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuCaps {
-    /// Baseline 128-bit SIMD (architecturally guaranteed on x86-64).
-    pub sse2: bool,
     /// 256-bit integer/float SIMD.
     pub avx2: bool,
     /// AVX-512 foundation, including the OS having enabled zmm state
@@ -272,8 +272,6 @@ pub struct CpuCaps {
     /// AVX-VNNI: the VEX-encoded (256-bit) dot-product subset, for CPUs
     /// with VNNI but without full AVX-512.
     pub avx_vnni: bool,
-    /// aarch64 Advanced SIMD (architecturally baseline on aarch64).
-    pub neon: bool,
 }
 
 impl CpuCaps {
@@ -282,9 +280,6 @@ impl CpuCaps {
     /// telemetry snapshots and benchmark reports.
     pub fn summary(self) -> String {
         let mut names = Vec::new();
-        if self.sse2 {
-            names.push("sse2");
-        }
         if self.avx2 {
             names.push("avx2");
         }
@@ -299,9 +294,6 @@ impl CpuCaps {
         }
         if self.avx_vnni {
             names.push("avx-vnni");
-        }
-        if self.neon {
-            names.push("neon");
         }
         if names.is_empty() {
             "none".to_owned()
@@ -366,30 +358,17 @@ fn detect_caps() -> CpuCaps {
     let ecx7 = l7_0.map_or(0, |r| r.ecx);
     let eax7_1 = l7_1.map_or(0, |r| r.eax);
     CpuCaps {
-        sse2: std::arch::is_x86_feature_detected!("sse2"),
         avx2: std::arch::is_x86_feature_detected!("avx2"),
         avx512f: os_avx512 && ebx7 & (1 << 16) != 0,
         avx512bw: os_avx512 && ebx7 & (1 << 30) != 0,
         avx512_vnni: os_avx512 && ecx7 & (1 << 11) != 0,
         avx_vnni: os_avx && eax7_1 & (1 << 4) != 0,
-        neon: false,
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 fn detect_caps() -> CpuCaps {
-    CpuCaps {
-        sse2: false,
-        avx2: false,
-        avx512f: false,
-        avx512bw: false,
-        avx512_vnni: false,
-        avx_vnni: false,
-        #[cfg(target_arch = "aarch64")]
-        neon: std::arch::is_aarch64_feature_detected!("neon"),
-        #[cfg(not(target_arch = "aarch64"))]
-        neon: false,
-    }
+    CpuCaps::default()
 }
 
 thread_local! {
@@ -431,32 +410,22 @@ impl Drop for BackendGuard {
     }
 }
 
-/// Route one kernel call to the backend's implementation.
+/// Route one f32 kernel call to the backend's implementation: both x86
+/// tiers run the AVX2 copy.
 ///
-/// SAFETY: the `Avx2`/`Sse2` arms call `#[target_feature]` functions;
-/// this is sound because of the module invariant that those variants only
-/// reach the wrappers after runtime detection (see [`KernelBackend`]).
+/// SAFETY: the x86 arm calls `#[target_feature(enable = "avx2")]`
+/// functions; this is sound because of the module invariant that
+/// `Avx512`/`Avx2` only reach the wrappers after runtime detection (see
+/// [`KernelBackend`]), and both tiers' detection includes `avx2`.
 macro_rules! dispatch {
     ($be:expr, $name:ident ( $($arg:expr),* $(,)? )) => {
         match $be {
             // SAFETY: this arm is reached only when runtime detection
-            // produced `Avx512` (module invariant — see `KernelBackend`),
-            // so the target_feature fn's CPU requirement holds.
+            // produced `Avx512` or `Avx2` (module invariant — see
+            // `KernelBackend`), and `is_available` checks `avx2` for
+            // both, so the target_feature fn's CPU requirement holds.
             #[cfg(target_arch = "x86_64")]
-            KernelBackend::Avx512 => unsafe { avx512::$name($($arg),*) },
-            // SAFETY: this arm is reached only when runtime detection
-            // produced `Avx2` (module invariant — see `KernelBackend`),
-            // so the target_feature fn's CPU requirement holds.
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Avx2 => unsafe { avx2::$name($($arg),*) },
-            // SAFETY: `Sse2` is only constructed on x86_64, where SSE2 is
-            // architecturally guaranteed.
-            #[cfg(target_arch = "x86_64")]
-            KernelBackend::Sse2 => unsafe { sse2::$name($($arg),*) },
-            // SAFETY: `Neon` is only constructed after runtime detection
-            // on aarch64, where NEON is architecturally baseline.
-            #[cfg(target_arch = "aarch64")]
-            KernelBackend::Neon => unsafe { neon::$name($($arg),*) },
+            KernelBackend::Avx512 | KernelBackend::Avx2 => unsafe { avx2::$name($($arg),*) },
             _ => scalar::$name($($arg),*),
         }
     };
@@ -596,14 +565,6 @@ pub(crate) fn gemm_i8_i32(be: KernelBackend, acc: &mut [i32], x: &[i8], w: &[i8]
                 i8x86::avx2_gemm_i8_i32(acc, x, w, k_dim)
             }
         },
-        // SAFETY: `Sse2` is only constructed on x86_64, where SSE2 is
-        // architecturally guaranteed.
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => unsafe { i8x86::sse2_gemm_i8_i32(acc, x, w, k_dim) },
-        // SAFETY: `Neon` is only constructed after runtime detection on
-        // aarch64, where NEON is architecturally baseline.
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::neon_gemm_i8_i32(acc, x, w, k_dim) },
         _ => scalar::gemm_i8_i32(acc, x, w, k_dim),
     }
 }
@@ -667,14 +628,6 @@ pub(crate) fn gemm_i8p_lanes(
                 i8x86::avx2_gemm_i8p_lanes(acc, xpairs, wt, fan_out)
             }
         },
-        // SAFETY: `Sse2` is only constructed on x86_64, where SSE2 is
-        // architecturally guaranteed.
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => unsafe { i8x86::sse2_gemm_i8p_lanes(acc, xpairs, wt, fan_out) },
-        // SAFETY: `Neon` is only constructed after runtime detection on
-        // aarch64, where NEON is architecturally baseline.
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::neon_gemm_i8p_lanes(acc, xpairs, wt, fan_out) },
         _ => scalar::gemm_i8p_lanes(acc, xpairs, wt, fan_out),
     }
 }
@@ -711,14 +664,6 @@ pub(crate) fn max_abs_f32(be: KernelBackend, x: &[f32]) -> f32 {
         // detection (module invariant — see `KernelBackend`).
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => unsafe { i8x86::avx2_max_abs_f32(x) },
-        // SAFETY: `Sse2` is only constructed on x86_64, where SSE2 is
-        // architecturally guaranteed.
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => unsafe { i8x86::sse2_max_abs_f32(x) },
-        // SAFETY: `Neon` is only constructed after runtime detection on
-        // aarch64, where NEON is architecturally baseline.
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::neon_max_abs_f32(x) },
         _ => scalar::max_abs_f32(x),
     }
 }
@@ -747,211 +692,232 @@ pub(crate) fn quantize_i8(be: KernelBackend, src: &[f32], dst: &mut [i8], inv: f
         // detection (module invariant — see `KernelBackend`).
         #[cfg(target_arch = "x86_64")]
         KernelBackend::Avx2 => unsafe { i8x86::avx2_quantize_i8(src, dst, inv) },
-        // SAFETY: `Sse2` is only constructed on x86_64, where SSE2 is
-        // architecturally guaranteed.
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => unsafe { i8x86::sse2_quantize_i8(src, dst, inv) },
-        // SAFETY: `Neon` is only constructed after runtime detection on
-        // aarch64, where NEON is architecturally baseline.
-        #[cfg(target_arch = "aarch64")]
-        KernelBackend::Neon => unsafe { neon::neon_quantize_i8(src, dst, inv) },
         _ => scalar::quantize_i8(src, dst, inv),
     }
 }
 
+/// The f32 kernel source, written once and stamped into each tier's
+/// module: `f32_kernels!()` for the portable scalar reference and
+/// `f32_kernels!(#[target_feature(enable = "avx2")])` for the x86 tiers,
+/// where the attribute lets LLVM vectorize the same loops for the wider
+/// ISA. Every tier therefore evaluates identical IEEE expressions in
+/// identical order (see the module docs). The stamped functions stay
+/// safe Rust; calling a `target_feature` one from outside its module
+/// needs `unsafe` and a prior runtime detection, which `dispatch!`
+/// provides.
+macro_rules! f32_kernels {
+    ($(#[$tier:meta])*) => {
+        /// `acc[i] += w * xs[i]` over the overlapping prefix.
+        ///
+        /// Each lane is an independent accumulator, so vectorizing across `i`
+        /// never reorders any per-element sum.
+        #[inline]
+        $(#[$tier])*
+        pub(super) fn axpy(acc: &mut [f32], xs: &[f32], w: f32) {
+            for (a, &v) in acc.iter_mut().zip(xs) {
+                *a += w * v;
+            }
+        }
+
+        /// Two fused axpy passes: `acc[i] = (acc[i] + w0·x0[i]) + w1·x1[i]` —
+        /// per element, the identical two sequential f32 adds of two [`axpy`]
+        /// calls, with half the accumulator load/store traffic.
+        #[inline]
+        $(#[$tier])*
+        pub(super) fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
+            for ((a, &v0), &v1) in acc.iter_mut().zip(x0).zip(x1) {
+                *a = (*a + w0 * v0) + w1 * v1;
+            }
+        }
+
+        /// See [`super::gemm_lanes`].
+        ///
+        /// `#[inline(never)]` is load-bearing here and on the helpers below:
+        /// the staging buffers come from a thread-local `RefCell`, where the
+        /// optimizer cannot prove disjointness and emits scalar code — and a
+        /// plain `#[inline]` boundary is erased by MIR inlining before its
+        /// noalias parameter guarantees reach codegen. A real call boundary
+        /// keeps them, and the lane loops autovectorize.
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
+            let tl = acc.len();
+            if tl == 0 {
+                return;
+            }
+            let mut ws = wrow.chunks_exact(2);
+            let mut cols = xt.chunks_exact(2 * tl);
+            for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
+                let (c0, c1) = cp.split_at(tl);
+                axpy2(acc, c0, wp[0], c1, wp[1]);
+            }
+            for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
+                axpy(acc, col, w);
+            }
+        }
+
+        /// See [`super::matvec_lanes`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
+            let r_dim = y.len();
+            if r_dim == 0 {
+                return;
+            }
+            y.fill(0.0);
+            let mut xs = x.chunks_exact(2);
+            let mut ws = wt.chunks_exact(2 * r_dim);
+            for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
+                let (w0, w1) = wp.split_at(r_dim);
+                axpy2(y, w0, xp[0], w1, xp[1]);
+            }
+            for (&xv, wrow) in xs
+                .remainder()
+                .iter()
+                .zip(ws.remainder().chunks_exact(r_dim))
+            {
+                axpy(y, wrow, xv);
+            }
+        }
+
+        /// See [`super::matvec_t_sample`] — the loop body of
+        /// `Matrix::matvec_transpose_into`, per sample.
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
+            y.fill(0.0);
+            let cols = y.len();
+            if cols == 0 {
+                return;
+            }
+            for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
+                // lint:allow(float-eq): exact-zero sparsity skip; backprop deltas are assigned 0.0 exactly, and a false negative only costs speed
+                if xv == 0.0 {
+                    continue;
+                }
+                for (yc, wv) in y.iter_mut().zip(row) {
+                    *yc += wv * xv;
+                }
+            }
+        }
+
+        /// See [`super::outer_rows_sample`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn outer_rows_sample(dw: &mut [f32], a_row: &[f32], b_row: &[f32], alpha: f32) {
+            let cols = b_row.len();
+            if cols == 0 {
+                return;
+            }
+            for (&av, row) in a_row.iter().zip(dw.chunks_exact_mut(cols)) {
+                // lint:allow(float-eq): exact-zero sparsity skip; ReLU masks and single-action TD errors assign 0.0 exactly, and a false negative only costs speed
+                if av == 0.0 {
+                    continue;
+                }
+                axpy(row, b_row, alpha * av);
+            }
+        }
+
+        /// See [`super::outer_lanes_sample`]. Bit-identity of the transposed
+        /// store layout and the moved sparsity skip: element `(r, c)`
+        /// receives the identical f32 add sequence as the row-major form —
+        /// one contribution per sample in sample order; where it is *stored*
+        /// during accumulation does not change rounding, and skipped/added
+        /// `±0.0` products of finite operands satisfy `x + ±0.0 == x` bitwise
+        /// for every `x` an accumulation starting at `+0.0` can reach.
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn outer_lanes_sample(dwt: &mut [f32], a_row: &[f32], b_row: &[f32], alpha: f32) {
+            let rows = a_row.len();
+            if rows == 0 {
+                return;
+            }
+            for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
+                // lint:allow(float-eq): exact-zero sparsity skip, proven bit-identical above
+                if bv == 0.0 {
+                    continue;
+                }
+                axpy(drow, a_row, alpha * bv);
+            }
+        }
+
+        /// See [`super::add_bias_rows`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
+            if bias.is_empty() {
+                return;
+            }
+            for row in out.chunks_exact_mut(bias.len()) {
+                for (o, &bv) in row.iter_mut().zip(bias) {
+                    *o += bv;
+                }
+            }
+        }
+
+        /// See [`super::sum_rows`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn sum_rows(acc: &mut [f32], rows: &[f32]) {
+            if acc.is_empty() {
+                return;
+            }
+            for row in rows.chunks_exact(acc.len()) {
+                for (g, &d) in acc.iter_mut().zip(row) {
+                    *g += d;
+                }
+            }
+        }
+
+        /// See [`super::relu`] — the `Activation::Relu` clamp over a flat
+        /// batch.
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn relu(xs: &mut [f32]) {
+            for x in xs {
+                if *x < 0.0 {
+                    *x = 0.0;
+                }
+            }
+        }
+
+        /// See [`super::relu_mask`]. The select-then-multiply form compiles
+        /// branchless, and `d * 0.0 = ±0.0` keeps `d`'s sign exactly like
+        /// the per-sample chain rule.
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
+            for (d, &y) in deltas.iter_mut().zip(ys) {
+                *d *= if y > 0.0 { 1.0 } else { 0.0 };
+            }
+        }
+
+        /// See [`super::tanh_mask`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
+            for (d, &y) in deltas.iter_mut().zip(ys) {
+                *d *= 1.0 - y * y;
+            }
+        }
+
+        /// See [`super::sigmoid_mask`].
+        #[inline(never)]
+        $(#[$tier])*
+        pub(super) fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
+            for (d, &y) in deltas.iter_mut().zip(ys) {
+                *d *= y * (1.0 - y);
+            }
+        }
+    };
+}
+
 /// The portable fallback: the original scalar kernels, moved here
 /// verbatim from `matrix.rs`, `mlp.rs`, and `activation.rs`. These are
-/// the reference semantics every vector backend must reproduce bitwise.
+/// the reference semantics every vector backend must reproduce bitwise;
+/// the f32 half is the same source the x86 tiers compile.
 mod scalar {
-    /// `acc[i] += w * xs[i]` over the overlapping prefix.
-    ///
-    /// Each lane is an independent accumulator, so vectorizing across `i`
-    /// never reorders any per-element sum.
-    #[inline]
-    pub(super) fn axpy(acc: &mut [f32], xs: &[f32], w: f32) {
-        for (a, &v) in acc.iter_mut().zip(xs) {
-            *a += w * v;
-        }
-    }
-
-    /// Two fused axpy passes: `acc[i] = (acc[i] + w0·x0[i]) + w1·x1[i]` —
-    /// per element, the identical two sequential f32 adds of two [`axpy`]
-    /// calls, with half the accumulator load/store traffic.
-    #[inline]
-    pub(super) fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
-        for ((a, &v0), &v1) in acc.iter_mut().zip(x0).zip(x1) {
-            *a = (*a + w0 * v0) + w1 * v1;
-        }
-    }
-
-    /// See [`super::gemm_lanes`].
-    ///
-    /// `#[inline(never)]` is load-bearing here and on the helpers below:
-    /// the staging buffers come from a thread-local `RefCell`, where the
-    /// optimizer cannot prove disjointness and emits scalar code — and a
-    /// plain `#[inline]` boundary is erased by MIR inlining before its
-    /// noalias parameter guarantees reach codegen. A real call boundary
-    /// keeps them, and the lane loops autovectorize.
-    #[inline(never)]
-    pub(super) fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-        let tl = acc.len();
-        if tl == 0 {
-            return;
-        }
-        let mut ws = wrow.chunks_exact(2);
-        let mut cols = xt.chunks_exact(2 * tl);
-        for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
-            let (c0, c1) = cp.split_at(tl);
-            axpy2(acc, c0, wp[0], c1, wp[1]);
-        }
-        for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
-            axpy(acc, col, w);
-        }
-    }
-
-    /// See [`super::matvec_lanes`].
-    #[inline(never)]
-    pub(super) fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
-        let r_dim = y.len();
-        if r_dim == 0 {
-            return;
-        }
-        y.fill(0.0);
-        let mut xs = x.chunks_exact(2);
-        let mut ws = wt.chunks_exact(2 * r_dim);
-        for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
-            let (w0, w1) = wp.split_at(r_dim);
-            axpy2(y, w0, xp[0], w1, xp[1]);
-        }
-        for (&xv, wrow) in xs
-            .remainder()
-            .iter()
-            .zip(ws.remainder().chunks_exact(r_dim))
-        {
-            axpy(y, wrow, xv);
-        }
-    }
-
-    /// See [`super::matvec_t_sample`] — the loop body of
-    /// `Matrix::matvec_transpose_into`, per sample.
-    #[inline(never)]
-    pub(super) fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
-        y.fill(0.0);
-        let cols = y.len();
-        if cols == 0 {
-            return;
-        }
-        for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
-            // lint:allow(float-eq): exact-zero sparsity skip; backprop deltas are assigned 0.0 exactly, and a false negative only costs speed
-            if xv == 0.0 {
-                continue;
-            }
-            for (yc, wv) in y.iter_mut().zip(row) {
-                *yc += wv * xv;
-            }
-        }
-    }
-
-    /// See [`super::outer_rows_sample`].
-    #[inline(never)]
-    pub(super) fn outer_rows_sample(dw: &mut [f32], a_row: &[f32], b_row: &[f32], alpha: f32) {
-        let cols = b_row.len();
-        if cols == 0 {
-            return;
-        }
-        for (&av, row) in a_row.iter().zip(dw.chunks_exact_mut(cols)) {
-            // lint:allow(float-eq): exact-zero sparsity skip; ReLU masks and single-action TD errors assign 0.0 exactly, and a false negative only costs speed
-            if av == 0.0 {
-                continue;
-            }
-            axpy(row, b_row, alpha * av);
-        }
-    }
-
-    /// See [`super::outer_lanes_sample`]. Bit-identity of the transposed
-    /// store layout and the moved sparsity skip: element `(r, c)`
-    /// receives the identical f32 add sequence as the row-major form —
-    /// one contribution per sample in sample order; where it is *stored*
-    /// during accumulation does not change rounding, and skipped/added
-    /// `±0.0` products of finite operands satisfy `x + ±0.0 == x` bitwise
-    /// for every `x` an accumulation starting at `+0.0` can reach.
-    #[inline(never)]
-    pub(super) fn outer_lanes_sample(dwt: &mut [f32], a_row: &[f32], b_row: &[f32], alpha: f32) {
-        let rows = a_row.len();
-        if rows == 0 {
-            return;
-        }
-        for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, proven bit-identical above
-            if bv == 0.0 {
-                continue;
-            }
-            axpy(drow, a_row, alpha * bv);
-        }
-    }
-
-    /// See [`super::add_bias_rows`].
-    #[inline(never)]
-    pub(super) fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-        if bias.is_empty() {
-            return;
-        }
-        for row in out.chunks_exact_mut(bias.len()) {
-            for (o, &bv) in row.iter_mut().zip(bias) {
-                *o += bv;
-            }
-        }
-    }
-
-    /// See [`super::sum_rows`].
-    #[inline(never)]
-    pub(super) fn sum_rows(acc: &mut [f32], rows: &[f32]) {
-        if acc.is_empty() {
-            return;
-        }
-        for row in rows.chunks_exact(acc.len()) {
-            for (g, &d) in acc.iter_mut().zip(row) {
-                *g += d;
-            }
-        }
-    }
-
-    /// See [`super::relu`] — the `Activation::Relu` clamp over a flat
-    /// batch.
-    #[inline(never)]
-    pub(super) fn relu(xs: &mut [f32]) {
-        for x in xs {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-    }
-
-    /// See [`super::relu_mask`]. The select-then-multiply form compiles
-    /// branchless, and `d * 0.0 = ±0.0` keeps `d`'s sign exactly like
-    /// the per-sample chain rule.
-    #[inline(never)]
-    pub(super) fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
-        for (d, &y) in deltas.iter_mut().zip(ys) {
-            *d *= if y > 0.0 { 1.0 } else { 0.0 };
-        }
-    }
-
-    /// See [`super::tanh_mask`].
-    #[inline(never)]
-    pub(super) fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
-        for (d, &y) in deltas.iter_mut().zip(ys) {
-            *d *= 1.0 - y * y;
-        }
-    }
-
-    /// See [`super::sigmoid_mask`].
-    #[inline(never)]
-    pub(super) fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
-        for (d, &y) in deltas.iter_mut().zip(ys) {
-            *d *= y * (1.0 - y);
-        }
-    }
+    f32_kernels!();
 
     /// See [`super::gemm_i8_i32`] — the exact-i32 reference. Widening
     /// through `i32::from` (infallible), no `as` casts.
@@ -1029,480 +995,17 @@ mod scalar {
     }
 }
 
-/// AVX `_mm256_cmp_ps` takes its predicate as a const generic, unlike the
-/// fixed-predicate SSE compare intrinsics; these wrappers give both ISAs
-/// the same two-argument shape for the kernel-set macro. `_OQ` (ordered,
-/// quiet) predicates match scalar `<` / `>`: false on NaN.
+/// The x86 f32 kernels, shared by the `Avx2` and `Avx512` tiers: the
+/// scalar source compiled with AVX2 enabled (8-lane vectors).
 #[cfg(target_arch = "x86_64")]
-mod cmp256 {
-    use core::arch::x86_64::*;
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx2 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gt(a: __m256, b: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_GT_OQ>(a, b)
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx2 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn lt(a: __m256, b: __m256) -> __m256 {
-        _mm256_cmp_ps::<_CMP_LT_OQ>(a, b)
-    }
+mod avx2 {
+    f32_kernels!(#[target_feature(enable = "avx2")]);
 }
-
-/// AVX-512 compares produce opmask registers (`__mmask16`) rather than
-/// vector masks, and AVX-512F has no float bitwise ops (`_mm512_and_ps`
-/// is AVX-512DQ); these shims re-express both in the all-ones-lane vector
-/// shape the kernel-set macro expects, so the 16-wide instantiation reads
-/// identically to the 8- and 4-wide ones. `maskz_set1(-1)` expands an
-/// opmask to the exact all-ones/all-zeros lanes a vector compare would
-/// produce, and the bitwise ops round-trip through `si512` — both are
-/// pure bit moves, so the established `andnot(x < 0, x)` /
-/// `and(mask, 1.0)` identities keep their scalar semantics unchanged.
-/// `_OQ` predicates as in [`cmp256`]: false on NaN, matching scalar
-/// `<` / `>`.
-#[cfg(target_arch = "x86_64")]
-mod m512 {
-    use core::arch::x86_64::*;
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mask_lanes(m: __mmask16) -> __m512 {
-        _mm512_castsi512_ps(_mm512_maskz_set1_epi32(m, -1))
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gt(a: __m512, b: __m512) -> __m512 {
-        mask_lanes(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b))
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn lt(a: __m512, b: __m512) -> __m512 {
-        mask_lanes(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, b))
-    }
-
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn and(a: __m512, b: __m512) -> __m512 {
-        _mm512_castsi512_ps(_mm512_and_si512(
-            _mm512_castps_si512(a),
-            _mm512_castps_si512(b),
-        ))
-    }
-
-    /// `(!a) & b`, matching `_mm_andnot_ps` / `_mm256_andnot_ps` operand
-    /// order.
-    // SAFETY: target_feature-only unsafety — called exclusively from the
-    // avx512 kernel set, which itself runs only after runtime detection.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn andnot(a: __m512, b: __m512) -> __m512 {
-        _mm512_castsi512_ps(_mm512_andnot_si512(
-            _mm512_castps_si512(a),
-            _mm512_castps_si512(b),
-        ))
-    }
-}
-
-/// One vector backend. Each kernel mirrors its scalar counterpart
-/// statement for statement: the vector body processes `$w`-wide groups of
-/// *independent lanes* with non-fused `$mul` + `$add`, and the remainder
-/// falls through to the identical scalar expressions, so results are
-/// byte-identical to `mod scalar` (see the module docs for the full
-/// argument).
-///
-/// SAFETY: every function is `#[target_feature(enable = $feature)]` and
-/// only reachable through `dispatch!`, which routes to this module solely
-/// for backend values that passed runtime detection. Raw pointer
-/// arithmetic stays within `i + $w <= len` bounds established on the
-/// zipped slice prefix.
-#[cfg(target_arch = "x86_64")]
-macro_rules! x86_kernel_set {
-    ($modname:ident, $feature:literal, $w:literal,
-     $loadu:ident, $storeu:ident, $set1:ident, $add:ident, $mul:ident, $sub:ident,
-     $and:path, $andnot:path, $cmpgt:path, $cmplt:path) => {
-        mod $modname {
-            #[allow(unused_imports)]
-            use core::arch::x86_64::*;
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn axpy(acc: &mut [f32], xs: &[f32], w: f32) {
-                let n = acc.len().min(xs.len());
-                let wv = $set1(w);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let x = $loadu(xs.as_ptr().add(i));
-                    let a = $loadu(acc.as_ptr().add(i));
-                    $storeu(acc.as_mut_ptr().add(i), $add(a, $mul(wv, x)));
-                    i += $w;
-                }
-                for (a, &v) in acc[i..n].iter_mut().zip(&xs[i..n]) {
-                    *a += w * v;
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
-                let n = acc.len().min(x0.len()).min(x1.len());
-                let w0v = $set1(w0);
-                let w1v = $set1(w1);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let a = $loadu(acc.as_ptr().add(i));
-                    let v0 = $loadu(x0.as_ptr().add(i));
-                    let v1 = $loadu(x1.as_ptr().add(i));
-                    $storeu(
-                        acc.as_mut_ptr().add(i),
-                        $add($add(a, $mul(w0v, v0)), $mul(w1v, v1)),
-                    );
-                    i += $w;
-                }
-                for ((a, &v0), &v1) in acc[i..n].iter_mut().zip(&x0[i..n]).zip(&x1[i..n]) {
-                    *a = (*a + w0 * v0) + w1 * v1;
-                }
-            }
-
-            /// `y[i] += ws[i] · x` — weight vector times splatted scalar;
-            /// operand order matches `matvec_transpose_into`'s
-            /// `*yc += wv * xv`.
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn axpy_wx(y: &mut [f32], ws: &[f32], x: f32) {
-                let n = y.len().min(ws.len());
-                let xv = $set1(x);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let wv = $loadu(ws.as_ptr().add(i));
-                    let a = $loadu(y.as_ptr().add(i));
-                    $storeu(y.as_mut_ptr().add(i), $add(a, $mul(wv, xv)));
-                    i += $w;
-                }
-                for (a, &wv) in y[i..n].iter_mut().zip(&ws[i..n]) {
-                    *a += wv * x;
-                }
-            }
-
-            /// `acc[i] += xs[i]` over the overlapping prefix.
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn add_assign(acc: &mut [f32], xs: &[f32]) {
-                let n = acc.len().min(xs.len());
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let a = $loadu(acc.as_ptr().add(i));
-                    let x = $loadu(xs.as_ptr().add(i));
-                    $storeu(acc.as_mut_ptr().add(i), $add(a, x));
-                    i += $w;
-                }
-                for (a, &v) in acc[i..n].iter_mut().zip(&xs[i..n]) {
-                    *a += v;
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-                let tl = acc.len();
-                if tl == 0 {
-                    return;
-                }
-                let mut ws = wrow.chunks_exact(2);
-                let mut cols = xt.chunks_exact(2 * tl);
-                for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
-                    let (c0, c1) = cp.split_at(tl);
-                    axpy2(acc, c0, wp[0], c1, wp[1]);
-                }
-                for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
-                    axpy(acc, col, w);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
-                let r_dim = y.len();
-                if r_dim == 0 {
-                    return;
-                }
-                y.fill(0.0);
-                let mut xs = x.chunks_exact(2);
-                let mut ws = wt.chunks_exact(2 * r_dim);
-                for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
-                    let (w0, w1) = wp.split_at(r_dim);
-                    axpy2(y, w0, xp[0], w1, xp[1]);
-                }
-                for (&xv, wrow) in xs
-                    .remainder()
-                    .iter()
-                    .zip(ws.remainder().chunks_exact(r_dim))
-                {
-                    axpy(y, wrow, xv);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
-                y.fill(0.0);
-                let cols = y.len();
-                if cols == 0 {
-                    return;
-                }
-                for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
-                    // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    axpy_wx(y, row, xv);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn outer_rows_sample(
-                dw: &mut [f32],
-                a_row: &[f32],
-                b_row: &[f32],
-                alpha: f32,
-            ) {
-                let cols = b_row.len();
-                if cols == 0 {
-                    return;
-                }
-                for (&av, row) in a_row.iter().zip(dw.chunks_exact_mut(cols)) {
-                    // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-                    if av == 0.0 {
-                        continue;
-                    }
-                    axpy(row, b_row, alpha * av);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn outer_lanes_sample(
-                dwt: &mut [f32],
-                a_row: &[f32],
-                b_row: &[f32],
-                alpha: f32,
-            ) {
-                let rows = a_row.len();
-                if rows == 0 {
-                    return;
-                }
-                for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
-                    // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-                    if bv == 0.0 {
-                        continue;
-                    }
-                    axpy(drow, a_row, alpha * bv);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-                if bias.is_empty() {
-                    return;
-                }
-                for row in out.chunks_exact_mut(bias.len()) {
-                    add_assign(row, bias);
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn sum_rows(acc: &mut [f32], rows: &[f32]) {
-                if acc.is_empty() {
-                    return;
-                }
-                for row in rows.chunks_exact(acc.len()) {
-                    add_assign(acc, row);
-                }
-            }
-
-            /// `andnot(x < 0, x)` zeroes exactly the lanes the scalar
-            /// branch zeroes: `-0.0` is not `< 0.0` (kept, like scalar)
-            /// and NaN compares false (kept bit-exactly, unlike `max`).
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn relu(xs: &mut [f32]) {
-                let n = xs.len();
-                let zero = $set1(0.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let x = $loadu(xs.as_ptr().add(i));
-                    let neg = $cmplt(x, zero);
-                    $storeu(xs.as_mut_ptr().add(i), $andnot(neg, x));
-                    i += $w;
-                }
-                for x in &mut xs[i..] {
-                    if *x < 0.0 {
-                        *x = 0.0;
-                    }
-                }
-            }
-
-            /// Multiply by an `and`-selected `{0.0, 1.0}` mask — the same
-            /// `d * 0.0` / `d * 1.0` the scalar branchless select
-            /// performs, so `±0.0` signs survive identically.
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let zero = $set1(0.0);
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    let m = $and($cmpgt(y, zero), one);
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, m));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= if y > 0.0 { 1.0 } else { 0.0 };
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, $sub(one, $mul(y, y))));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= 1.0 - y * y;
-                }
-            }
-
-            // SAFETY: target_feature-only unsafety — reachable solely via
-            // `dispatch!` after runtime detection of `$feature`; pointer
-            // offsets stay below the `i + $w <= n` slice bound.
-            #[target_feature(enable = $feature)]
-            pub(super) unsafe fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
-                let n = deltas.len().min(ys.len());
-                let one = $set1(1.0);
-                let mut i = 0usize;
-                while i + $w <= n {
-                    let d = $loadu(deltas.as_ptr().add(i));
-                    let y = $loadu(ys.as_ptr().add(i));
-                    $storeu(deltas.as_mut_ptr().add(i), $mul(d, $mul(y, $sub(one, y))));
-                    i += $w;
-                }
-                for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-                    *d *= y * (1.0 - y);
-                }
-            }
-        }
-    };
-}
-
-#[cfg(target_arch = "x86_64")]
-x86_kernel_set!(
-    avx512,
-    "avx512f",
-    16,
-    _mm512_loadu_ps,
-    _mm512_storeu_ps,
-    _mm512_set1_ps,
-    _mm512_add_ps,
-    _mm512_mul_ps,
-    _mm512_sub_ps,
-    super::m512::and,
-    super::m512::andnot,
-    super::m512::gt,
-    super::m512::lt
-);
-
-#[cfg(target_arch = "x86_64")]
-x86_kernel_set!(
-    avx2,
-    "avx2",
-    8,
-    _mm256_loadu_ps,
-    _mm256_storeu_ps,
-    _mm256_set1_ps,
-    _mm256_add_ps,
-    _mm256_mul_ps,
-    _mm256_sub_ps,
-    _mm256_and_ps,
-    _mm256_andnot_ps,
-    super::cmp256::gt,
-    super::cmp256::lt
-);
-
-#[cfg(target_arch = "x86_64")]
-x86_kernel_set!(
-    sse2,
-    "sse2",
-    4,
-    _mm_loadu_ps,
-    _mm_storeu_ps,
-    _mm_set1_ps,
-    _mm_add_ps,
-    _mm_mul_ps,
-    _mm_sub_ps,
-    _mm_and_ps,
-    _mm_andnot_ps,
-    _mm_cmpgt_ps,
-    _mm_cmplt_ps
-);
 
 /// Shared scalar remainder for the pair-interleaved kernels: the
 /// outputs past the last full vector, computed with the reference
 /// expressions so tails match `mod scalar` by construction.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[cfg(target_arch = "x86_64")]
 fn lanes_tail_i8p(tail: &mut [i32], xpairs: &[i32], wt: &[i16], fan_out: usize, base: usize) {
     for (j, slot) in tail.iter_mut().enumerate() {
         let r = base + j;
@@ -1520,7 +1023,7 @@ fn lanes_tail_i8p(tail: &mut [i32], xpairs: &[i32], wt: &[i16], fan_out: usize, 
     }
 }
 
-/// Vector int8 dot-product kernels. Unlike the float kernel sets these
+/// Hand-written int8 dot-product kernels. Unlike the f32 kernels these
 /// *do* reduce horizontally — exact i32 arithmetic makes any summation
 /// order bit-identical (see the module docs), so the layout is chosen for
 /// speed, not to mirror the scalar loop.
@@ -1567,37 +1070,6 @@ mod i8x86 {
         sum
     }
 
-    /// Exact i32 dot product, SSE2 lane: sign-extension via the
-    /// unpack-with-self + arithmetic-shift idiom (no `pmovsx` before
-    /// SSE4.1), then the same exact `pmaddwd` reduction.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher (SSE2 is baseline on x86-64); pointer
-    // offsets stay below the `i + 16 <= n` slice bound.
-    #[target_feature(enable = "sse2")]
-    unsafe fn sse2_dot_i8(x: &[i8], w: &[i8]) -> i32 {
-        let n = x.len().min(w.len());
-        let mut accv = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let xv = _mm_loadu_si128(x.as_ptr().add(i).cast());
-            let wv = _mm_loadu_si128(w.as_ptr().add(i).cast());
-            let xlo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(xv, xv));
-            let xhi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(xv, xv));
-            let wlo = _mm_srai_epi16::<8>(_mm_unpacklo_epi8(wv, wv));
-            let whi = _mm_srai_epi16::<8>(_mm_unpackhi_epi8(wv, wv));
-            accv = _mm_add_epi32(accv, _mm_madd_epi16(xlo, wlo));
-            accv = _mm_add_epi32(accv, _mm_madd_epi16(xhi, whi));
-            i += 16;
-        }
-        let s2 = _mm_add_epi32(accv, _mm_unpackhi_epi64(accv, accv));
-        let s1 = _mm_add_epi32(s2, _mm_shuffle_epi32::<1>(s2));
-        let mut sum = _mm_cvtsi128_si32(s1);
-        for (&xv, &wv) in x[i..n].iter().zip(&w[i..n]) {
-            sum += i32::from(xv) * i32::from(wv);
-        }
-        sum
-    }
-
     // SAFETY: target_feature-only unsafety — reachable solely via the
     // `gemm_i8_i32` dispatcher after runtime detection of AVX2.
     #[target_feature(enable = "avx2")]
@@ -1610,25 +1082,6 @@ mod i8x86 {
         for xrow in x.chunks_exact(k_dim) {
             for wrow in w.chunks_exact(k_dim) {
                 let s = avx2_dot_i8(xrow, wrow);
-                if let Some(slot) = out.next() {
-                    *slot = s;
-                }
-            }
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher (SSE2 is baseline on x86-64).
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_gemm_i8_i32(acc: &mut [i32], x: &[i8], w: &[i8], k_dim: usize) {
-        if k_dim == 0 {
-            acc.fill(0);
-            return;
-        }
-        let mut out = acc.iter_mut();
-        for xrow in x.chunks_exact(k_dim) {
-            for wrow in w.chunks_exact(k_dim) {
-                let s = sse2_dot_i8(xrow, wrow);
                 if let Some(slot) = out.next() {
                     *slot = s;
                 }
@@ -1832,31 +1285,6 @@ mod i8x86 {
         super::lanes_tail_i8p(&mut acc[r..], xpairs, wt, fan_out, r);
     }
 
-    /// Pair-interleaved matvec, SSE2 lane: identical structure 4-wide.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8p_lanes` dispatcher (SSE2 is baseline on x86-64); the
-    // wrapper's length asserts keep every offset in bounds.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_gemm_i8p_lanes(
-        acc: &mut [i32],
-        xpairs: &[i32],
-        wt: &[i16],
-        fan_out: usize,
-    ) {
-        let mut r = 0usize;
-        while r + 4 <= fan_out {
-            let mut accv = _mm_setzero_si128();
-            for (p, &xp) in xpairs.iter().enumerate() {
-                let xv = _mm_set1_epi32(xp);
-                let wv = _mm_loadu_si128(wt.as_ptr().add((p * fan_out + r) * 2).cast());
-                accv = _mm_add_epi32(accv, _mm_madd_epi16(xv, wv));
-            }
-            _mm_storeu_si128(acc.as_mut_ptr().add(r).cast(), accv);
-            r += 4;
-        }
-        super::lanes_tail_i8p(&mut acc[r..], xpairs, wt, fan_out, r);
-    }
-
     /// Pair-interleaved matvec, AVX-512BW lane: identical structure
     /// 16-wide — one `madd` covers sixteen consecutive outputs' weight
     /// pairs.
@@ -2038,33 +1466,6 @@ mod i8x86 {
         m
     }
 
-    /// Max-|x| fold, SSE2 lane: identical structure 4-wide.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `max_abs_f32` dispatcher (SSE2 is baseline on x86-64); offsets
-    // stay below the `i + 4 <= n` bound.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_max_abs_f32(x: &[f32]) -> f32 {
-        let n = x.len();
-        let mask = _mm_castsi128_ps(_mm_set1_epi32(0x7FFF_FFFF));
-        let mut mv = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let v = _mm_and_ps(mask, _mm_loadu_ps(x.as_ptr().add(i)));
-            mv = _mm_max_ps(mv, v);
-            i += 4;
-        }
-        let m2 = _mm_max_ps(mv, _mm_movehl_ps(mv, mv));
-        let m1 = _mm_max_ss(m2, _mm_shuffle_ps::<1>(m2, m2));
-        let mut m = _mm_cvtss_f32(m1);
-        for &v in &x[i..] {
-            let a = v.abs();
-            if a > m {
-                m = a;
-            }
-        }
-        m
-    }
-
     /// Elementwise quantize, AVX2 lane: multiply by the reciprocal scale,
     /// truncate (`cvttps2dq`), recover the exact fraction, adjust by the
     /// ±0.5 compares (`_OQ`: false on NaN, matching the scalar compare),
@@ -2103,514 +1504,6 @@ mod i8x86 {
             *d = super::scalar::quantize_one_i8(v, inv);
         }
     }
-
-    /// Elementwise quantize, SSE2 lane: same structure 4-wide; the i32
-    /// clamp is a compare-and-blend (SSE2 has no `pminsd`/`pmaxsd`).
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `quantize_i8` dispatcher (SSE2 is baseline on x86-64); the wrapper
-    // asserts `src.len() == dst.len()` and offsets stay below the
-    // `i + 4 <= n` bound.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn sse2_quantize_i8(src: &[f32], dst: &mut [i8], inv: f32) {
-        let n = src.len();
-        let invv = _mm_set1_ps(inv);
-        let half = _mm_set1_ps(0.5);
-        let nhalf = _mm_set1_ps(-0.5);
-        let lo = _mm_set1_epi32(-127);
-        let hi = _mm_set1_epi32(127);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = _mm_mul_ps(_mm_loadu_ps(src.as_ptr().add(i)), invv);
-            let t = _mm_cvttps_epi32(x);
-            let r = _mm_sub_ps(x, _mm_cvtepi32_ps(t));
-            let ge = _mm_castps_si128(_mm_cmpge_ps(r, half));
-            let le = _mm_castps_si128(_mm_cmple_ps(r, nhalf));
-            // Masks are all-ones (-1) where true: subtracting `ge` adds 1,
-            // adding `le` subtracts 1 — the round-half-away adjustment.
-            let q = _mm_add_epi32(_mm_sub_epi32(t, ge), le);
-            // min(hi, q): keep q where q < hi, else hi; then max(lo, ·).
-            let qlt = _mm_cmplt_epi32(q, hi);
-            let q = _mm_or_si128(_mm_and_si128(qlt, q), _mm_andnot_si128(qlt, hi));
-            let qgt = _mm_cmpgt_epi32(q, lo);
-            let q = _mm_or_si128(_mm_and_si128(qgt, q), _mm_andnot_si128(qgt, lo));
-            let w = _mm_packs_epi32(q, q);
-            let b = _mm_packs_epi16(w, w);
-            // Four bytes of `b` are live; store via a scalar lane move to
-            // avoid writing past `dst`.
-            let quad = _mm_cvtsi128_si32(b);
-            dst.as_mut_ptr().add(i).cast::<i32>().write_unaligned(quad);
-            i += 4;
-        }
-        for (d, &v) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d = super::scalar::quantize_one_i8(v, inv);
-        }
-    }
-}
-
-/// The aarch64/NEON backend: the complete kernel set — f32 and int8 — at
-/// 128-bit width, mirroring the x86 kernel-set macro statement for
-/// statement so the same bit-identity-by-construction argument applies:
-/// independent 4-wide lanes, inner dimension ascending, separate
-/// `vmulq`+`vaddq` (never `vfmaq` — no fusion), compares producing
-/// all-ones `u32` lane masks combined with `vbicq`/`vandq` exactly like
-/// the x86 `andnot`/`and` selects, and scalar tails running the reference
-/// expressions. The int8 kernels use the exactness argument instead:
-/// `vmull_s8` products pair-accumulated by `vpadalq_s16` are exact i32s,
-/// so horizontal order is free (see the module docs).
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use core::arch::aarch64::*;
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy(acc: &mut [f32], xs: &[f32], w: f32) {
-        let n = acc.len().min(xs.len());
-        let wv = vdupq_n_f32(w);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = vld1q_f32(xs.as_ptr().add(i));
-            let a = vld1q_f32(acc.as_ptr().add(i));
-            vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(a, vmulq_f32(wv, x)));
-            i += 4;
-        }
-        for (a, &v) in acc[i..n].iter_mut().zip(&xs[i..n]) {
-            *a += w * v;
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy2(acc: &mut [f32], x0: &[f32], w0: f32, x1: &[f32], w1: f32) {
-        let n = acc.len().min(x0.len()).min(x1.len());
-        let w0v = vdupq_n_f32(w0);
-        let w1v = vdupq_n_f32(w1);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = vld1q_f32(acc.as_ptr().add(i));
-            let v0 = vld1q_f32(x0.as_ptr().add(i));
-            let v1 = vld1q_f32(x1.as_ptr().add(i));
-            vst1q_f32(
-                acc.as_mut_ptr().add(i),
-                vaddq_f32(vaddq_f32(a, vmulq_f32(w0v, v0)), vmulq_f32(w1v, v1)),
-            );
-            i += 4;
-        }
-        for ((a, &v0), &v1) in acc[i..n].iter_mut().zip(&x0[i..n]).zip(&x1[i..n]) {
-            *a = (*a + w0 * v0) + w1 * v1;
-        }
-    }
-
-    /// `y[i] += ws[i] · x` — weight vector times splatted scalar.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_wx(y: &mut [f32], ws: &[f32], x: f32) {
-        let n = y.len().min(ws.len());
-        let xv = vdupq_n_f32(x);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let wv = vld1q_f32(ws.as_ptr().add(i));
-            let a = vld1q_f32(y.as_ptr().add(i));
-            vst1q_f32(y.as_mut_ptr().add(i), vaddq_f32(a, vmulq_f32(wv, xv)));
-            i += 4;
-        }
-        for (a, &wv) in y[i..n].iter_mut().zip(&ws[i..n]) {
-            *a += wv * x;
-        }
-    }
-
-    /// `acc[i] += xs[i]` over the overlapping prefix.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn add_assign(acc: &mut [f32], xs: &[f32]) {
-        let n = acc.len().min(xs.len());
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let a = vld1q_f32(acc.as_ptr().add(i));
-            let x = vld1q_f32(xs.as_ptr().add(i));
-            vst1q_f32(acc.as_mut_ptr().add(i), vaddq_f32(a, x));
-            i += 4;
-        }
-        for (a, &v) in acc[i..n].iter_mut().zip(&xs[i..n]) {
-            *a += v;
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm_lanes(acc: &mut [f32], wrow: &[f32], xt: &[f32]) {
-        let tl = acc.len();
-        if tl == 0 {
-            return;
-        }
-        let mut ws = wrow.chunks_exact(2);
-        let mut cols = xt.chunks_exact(2 * tl);
-        for (wp, cp) in ws.by_ref().zip(cols.by_ref()) {
-            let (c0, c1) = cp.split_at(tl);
-            axpy2(acc, c0, wp[0], c1, wp[1]);
-        }
-        for (&w, col) in ws.remainder().iter().zip(cols.remainder().chunks_exact(tl)) {
-            axpy(acc, col, w);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matvec_lanes(y: &mut [f32], wt: &[f32], x: &[f32]) {
-        let r_dim = y.len();
-        if r_dim == 0 {
-            return;
-        }
-        y.fill(0.0);
-        let mut xs = x.chunks_exact(2);
-        let mut ws = wt.chunks_exact(2 * r_dim);
-        for (xp, wp) in xs.by_ref().zip(ws.by_ref()) {
-            let (w0, w1) = wp.split_at(r_dim);
-            axpy2(y, w0, xp[0], w1, xp[1]);
-        }
-        for (&xv, wrow) in xs
-            .remainder()
-            .iter()
-            .zip(ws.remainder().chunks_exact(r_dim))
-        {
-            axpy(y, wrow, xv);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matvec_t_sample(y: &mut [f32], w: &[f32], x: &[f32]) {
-        y.fill(0.0);
-        let cols = y.len();
-        if cols == 0 {
-            return;
-        }
-        for (&xv, row) in x.iter().zip(w.chunks_exact(cols)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-            if xv == 0.0 {
-                continue;
-            }
-            axpy_wx(y, row, xv);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn outer_rows_sample(
-        dw: &mut [f32],
-        a_row: &[f32],
-        b_row: &[f32],
-        alpha: f32,
-    ) {
-        let cols = b_row.len();
-        if cols == 0 {
-            return;
-        }
-        for (&av, row) in a_row.iter().zip(dw.chunks_exact_mut(cols)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-            if av == 0.0 {
-                continue;
-            }
-            axpy(row, b_row, alpha * av);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn outer_lanes_sample(
-        dwt: &mut [f32],
-        a_row: &[f32],
-        b_row: &[f32],
-        alpha: f32,
-    ) {
-        let rows = a_row.len();
-        if rows == 0 {
-            return;
-        }
-        for (&bv, drow) in b_row.iter().zip(dwt.chunks_exact_mut(rows)) {
-            // lint:allow(float-eq): exact-zero sparsity skip, identical to the scalar kernel
-            if bv == 0.0 {
-                continue;
-            }
-            axpy(drow, a_row, alpha * bv);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn add_bias_rows(out: &mut [f32], bias: &[f32]) {
-        if bias.is_empty() {
-            return;
-        }
-        for row in out.chunks_exact_mut(bias.len()) {
-            add_assign(row, bias);
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn sum_rows(acc: &mut [f32], rows: &[f32]) {
-        if acc.is_empty() {
-            return;
-        }
-        for row in rows.chunks_exact(acc.len()) {
-            add_assign(acc, row);
-        }
-    }
-
-    /// `bic(x, x < 0)` zeroes exactly the lanes the scalar branch zeroes:
-    /// `-0.0` is not `< 0.0` (kept) and NaN compares false (kept
-    /// bit-exactly) — `vbicq_u32(a, m)` is `a & !m`, the NEON spelling of
-    /// the x86 `andnot(m, a)` select.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn relu(xs: &mut [f32]) {
-        let n = xs.len();
-        let zero = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let x = vld1q_f32(xs.as_ptr().add(i));
-            let neg = vcltq_f32(x, zero);
-            let kept = vreinterpretq_f32_u32(vbicq_u32(vreinterpretq_u32_f32(x), neg));
-            vst1q_f32(xs.as_mut_ptr().add(i), kept);
-            i += 4;
-        }
-        for x in &mut xs[i..] {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-    }
-
-    /// Multiply by an `and`-selected `{0.0, 1.0}` mask — the same
-    /// `d * 0.0` / `d * 1.0` the scalar branchless select performs.
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn relu_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let zero = vdupq_n_f32(0.0);
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let pos = vcgtq_f32(y, zero);
-            let m = vreinterpretq_f32_u32(vandq_u32(vreinterpretq_u32_f32(one), pos));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= if y > 0.0 { 1.0 } else { 0.0 };
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn tanh_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let m = vsubq_f32(one, vmulq_f32(y, y));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= 1.0 - y * y;
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via
-    // `dispatch!` after runtime detection of NEON; pointer offsets stay
-    // below the `i + 4 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn sigmoid_mask(deltas: &mut [f32], ys: &[f32]) {
-        let n = deltas.len().min(ys.len());
-        let one = vdupq_n_f32(1.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let d = vld1q_f32(deltas.as_ptr().add(i));
-            let y = vld1q_f32(ys.as_ptr().add(i));
-            let m = vmulq_f32(y, vsubq_f32(one, y));
-            vst1q_f32(deltas.as_mut_ptr().add(i), vmulq_f32(d, m));
-            i += 4;
-        }
-        for (d, &y) in deltas[i..n].iter_mut().zip(&ys[i..n]) {
-            *d *= y * (1.0 - y);
-        }
-    }
-
-    /// Exact i32 dot product: `vmull_s8` widens i8×i8 to i16 products
-    /// (exact, ≤ 127²), `vpadalq_s16` pair-accumulates them into i32
-    /// lanes (exact), and `vaddvq_s32` reduces — order-free by the
-    /// exactness argument.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher after runtime detection of NEON; pointer
-    // offsets stay below the `i + 16 <= n` slice bound.
-    #[target_feature(enable = "neon")]
-    unsafe fn neon_dot_i8(x: &[i8], w: &[i8]) -> i32 {
-        let n = x.len().min(w.len());
-        let mut accv = vdupq_n_s32(0);
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let xv = vld1q_s8(x.as_ptr().add(i));
-            let wv = vld1q_s8(w.as_ptr().add(i));
-            let plo = vmull_s8(vget_low_s8(xv), vget_low_s8(wv));
-            let phi = vmull_s8(vget_high_s8(xv), vget_high_s8(wv));
-            accv = vpadalq_s16(accv, plo);
-            accv = vpadalq_s16(accv, phi);
-            i += 16;
-        }
-        let mut sum = vaddvq_s32(accv);
-        for (&xv, &wv) in x[i..n].iter().zip(&w[i..n]) {
-            sum += i32::from(xv) * i32::from(wv);
-        }
-        sum
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher after runtime detection of NEON.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_gemm_i8_i32(acc: &mut [i32], x: &[i8], w: &[i8], k_dim: usize) {
-        if k_dim == 0 {
-            acc.fill(0);
-            return;
-        }
-        let mut out = acc.iter_mut();
-        for xrow in x.chunks_exact(k_dim) {
-            for wrow in w.chunks_exact(k_dim) {
-                let s = neon_dot_i8(xrow, wrow);
-                if let Some(slot) = out.next() {
-                    *slot = s;
-                }
-            }
-        }
-    }
-
-    /// Pair-interleaved matvec, NEON lane: broadcast one packed input
-    /// pair as four i16 `(x0, x1)` copies, `vmull_s16` against four
-    /// consecutive outputs' weight pairs, then `vpaddq_s32` folds
-    /// adjacent products into the four exact pair-sums.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8p_lanes` dispatcher after runtime detection of NEON; the
-    // wrapper's length asserts keep every offset in bounds.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_gemm_i8p_lanes(
-        acc: &mut [i32],
-        xpairs: &[i32],
-        wt: &[i16],
-        fan_out: usize,
-    ) {
-        let mut r = 0usize;
-        while r + 4 <= fan_out {
-            let mut accv = vdupq_n_s32(0);
-            for (p, &xp) in xpairs.iter().enumerate() {
-                let xv = vreinterpretq_s16_s32(vdupq_n_s32(xp));
-                let wv = vld1q_s16(wt.as_ptr().add((p * fan_out + r) * 2));
-                let plo = vmull_s16(vget_low_s16(xv), vget_low_s16(wv));
-                let phi = vmull_s16(vget_high_s16(xv), vget_high_s16(wv));
-                accv = vaddq_s32(accv, vpaddq_s32(plo, phi));
-            }
-            vst1q_s32(acc.as_mut_ptr().add(r), accv);
-            r += 4;
-        }
-        super::lanes_tail_i8p(&mut acc[r..], xpairs, wt, fan_out, r);
-    }
-
-    /// Max-|x| fold: `vabsq` + `vmaxq` lanes, order-free horizontal
-    /// `vmaxvq`, scalar tail.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `max_abs_f32` dispatcher after runtime detection of NEON; offsets
-    // stay below the `i + 4 <= n` bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_max_abs_f32(x: &[f32]) -> f32 {
-        let n = x.len();
-        let mut mv = vdupq_n_f32(0.0);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            mv = vmaxq_f32(mv, vabsq_f32(vld1q_f32(x.as_ptr().add(i))));
-            i += 4;
-        }
-        let mut m = vmaxvq_f32(mv);
-        for &v in &x[i..] {
-            let a = v.abs();
-            if a > m {
-                m = a;
-            }
-        }
-        m
-    }
-
-    /// Round-half-away core of the NEON quantizer: truncate
-    /// (`vcvtq_s32_f32` rounds toward zero, like the scalar `as i32`),
-    /// recover the exact fraction, adjust via the ±0.5 compare masks
-    /// (all-ones = −1 as i32, so subtracting the `ge` mask adds 1 and
-    /// adding the `le` mask subtracts 1), clamp in i32.
-    // SAFETY: target_feature-only unsafety — called exclusively from
-    // `neon_quantize_i8` below, itself gated on runtime NEON detection.
-    #[target_feature(enable = "neon")]
-    unsafe fn quantize_lane_i32(x: float32x4_t) -> int32x4_t {
-        let half = vdupq_n_f32(0.5);
-        let nhalf = vdupq_n_f32(-0.5);
-        let lo = vdupq_n_s32(-127);
-        let hi = vdupq_n_s32(127);
-        let t = vcvtq_s32_f32(x);
-        let r = vsubq_f32(x, vcvtq_f32_s32(t));
-        let ge = vcgeq_f32(r, half);
-        let le = vcleq_f32(r, nhalf);
-        let q = vsubq_s32(t, vreinterpretq_s32_u32(ge));
-        let q = vaddq_s32(q, vreinterpretq_s32_u32(le));
-        vmaxq_s32(lo, vminq_s32(hi, q))
-    }
-
-    /// Elementwise quantize, NEON lane: two 4-wide groups per iteration
-    /// so the narrow chain (`vmovn_s32` → `vmovn_s16`) emits eight i8
-    /// codes per store; values are clamped to [-127, 127] first, so the
-    /// truncating narrows are exact.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `quantize_i8` dispatcher after runtime detection of NEON; the
-    // wrapper asserts `src.len() == dst.len()` and offsets stay below
-    // the `i + 8 <= n` bound.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn neon_quantize_i8(src: &[f32], dst: &mut [i8], inv: f32) {
-        let n = src.len();
-        let invv = vdupq_n_f32(inv);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x0 = vmulq_f32(vld1q_f32(src.as_ptr().add(i)), invv);
-            let x1 = vmulq_f32(vld1q_f32(src.as_ptr().add(i + 4)), invv);
-            let q0 = quantize_lane_i32(x0);
-            let q1 = quantize_lane_i32(x1);
-            let w = vcombine_s16(vmovn_s32(q0), vmovn_s32(q1));
-            vst1_s8(dst.as_mut_ptr().add(i), vmovn_s16(w));
-            i += 8;
-        }
-        for (d, &v) in dst[i..].iter_mut().zip(&src[i..]) {
-            *d = super::scalar::quantize_one_i8(v, inv);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2642,8 +1535,8 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Lengths that exercise full vectors and every tail size for both
-    /// 4- and 8-wide backends.
+    /// Lengths that exercise full vectors and every tail size for the
+    /// 8-wide f32 kernels and the 8- and 16-wide int8 helpers.
     const LENS: &[usize] = &[0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 64, 67];
 
     fn non_scalar() -> impl Iterator<Item = KernelBackend> {
@@ -2897,7 +1790,7 @@ mod tests {
 
     #[test]
     fn gemm_i8p_lanes_matches_scalar_exactly_across_backends() {
-        // fan_out values around the 4- and 8-wide vector bodies, and
+        // fan_out values around the 8- and 16-wide vector bodies, and
         // fan_in values crossing the odd-tail padding.
         for be in non_scalar() {
             for &k in &[0usize, 1, 2, 3, 4, 5, 8, 64] {
@@ -2955,7 +1848,6 @@ mod tests {
         let caps = capabilities();
         let avx512 = KernelBackend::Avx512.is_available();
         let gemms: &[(&str, bool, GemmFn)] = &[
-            ("sse2", caps.sse2, i8x86::sse2_gemm_i8_i32),
             ("avx2", caps.avx2, i8x86::avx2_gemm_i8_i32),
             (
                 "avx-vnni",
@@ -2985,7 +1877,6 @@ mod tests {
             }
         }
         let lanes: &[(&str, bool, LanesFn)] = &[
-            ("sse2", caps.sse2, i8x86::sse2_gemm_i8p_lanes),
             ("avx2", caps.avx2, i8x86::avx2_gemm_i8p_lanes),
             (
                 "avx-vnni",
@@ -3098,12 +1989,10 @@ mod tests {
         let caps = capabilities();
         // The dispatched backends must agree with the reported bits.
         assert_eq!(caps.avx2, KernelBackend::Avx2.is_available());
-        assert_eq!(caps.sse2, KernelBackend::Sse2.is_available());
         assert_eq!(
-            caps.avx512f && caps.avx512bw,
+            caps.avx2 && caps.avx512f && caps.avx512bw,
             KernelBackend::Avx512.is_available()
         );
-        assert_eq!(caps.neon, KernelBackend::Neon.is_available());
         // VNNI forms imply the matching OS-enabled vector state chain.
         if caps.avx512_vnni {
             assert!(caps.avx512f, "avx512-vnni without avx512f state");

@@ -280,11 +280,11 @@ impl Telemetry {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// SIMD kernel backend the snapshotting thread's decisions run on
-    /// (`avx512`/`avx2`/`sse2`/`neon`/`scalar`), so latency and
-    /// throughput numbers are attributable to an ISA.
+    /// (`avx512`/`avx2`/`scalar`), so latency and throughput numbers are
+    /// attributable to an ISA.
     pub kernel_backend: String,
     /// Detected CPU SIMD capability bits (space-separated feature names,
-    /// e.g. `"sse2 avx2 avx512f avx512bw avx512-vnni"`, or `"none"`) —
+    /// e.g. `"avx2 avx512f avx512bw avx512-vnni"`, or `"none"`) —
     /// the bits backend selection and the VNNI int8 instruction forms
     /// gate on.
     pub cpu_caps: String,
@@ -399,7 +399,9 @@ mod tests {
     fn empty_telemetry_snapshots_cleanly() {
         let s = Telemetry::new().snapshot();
         assert!(
-            ["avx512", "avx2", "sse2", "neon", "scalar"].contains(&s.kernel_backend.as_str()),
+            resemble_nn::KernelBackend::ALL
+                .iter()
+                .any(|b| b.name() == s.kernel_backend),
             "unknown backend {:?}",
             s.kernel_backend
         );
