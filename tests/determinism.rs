@@ -34,10 +34,14 @@ fn run_mlp() -> (SimStats, Vec<u32>) {
     (stats, q)
 }
 
-/// One fresh tabular-controller run: stats plus the Q-rows of the first
-/// few state tokens.
-fn run_tabular() -> (SimStats, Vec<u32>) {
-    let mut ctl = ResembleTabular::new(paper_bank(), ResembleConfig::fast(), 4, SEED);
+/// One fresh tabular-controller run with `hash_bits`-bit hashing, with or
+/// without the PC feature: stats plus the Q-rows of every state token.
+fn run_tabular(hash_bits: u32, with_pc: bool) -> (SimStats, Vec<u32>) {
+    let cfg = ResembleConfig {
+        with_pc,
+        ..ResembleConfig::fast()
+    };
+    let mut ctl = ResembleTabular::new(paper_bank(), cfg, hash_bits, SEED);
     let mut engine = Engine::new(SimConfig::harness());
     let mut src = app_by_name(APP, SEED).expect("known app").source;
     let stats = engine.run(&mut *src, Some(&mut ctl), WARMUP, MEASURE);
@@ -54,6 +58,17 @@ fn run_tabular() -> (SimStats, Vec<u32>) {
         })
         .collect();
     (stats, q)
+}
+
+/// FNV-1a digest of a run's `SimStats` (its `Debug` form) and Q-row bits.
+fn digest(stats: &SimStats, q: &[u32]) -> u64 {
+    let bytes = format!("{stats:?}")
+        .into_bytes()
+        .into_iter()
+        .chain(q.iter().flat_map(|w| w.to_le_bytes()));
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 #[test]
@@ -75,18 +90,31 @@ fn mlp_controller_runs_are_bit_identical() {
 
 #[test]
 fn tabular_controller_runs_are_bit_identical() {
-    let (stats_a, q_a) = run_tabular();
-    let (stats_b, q_b) = run_tabular();
-    assert_eq!(
-        format!("{stats_a:?}"),
-        format!("{stats_b:?}"),
-        "SimStats diverged between identical ReSemble-T runs"
-    );
-    assert_eq!(q_a, q_b, "Q-rows diverged between identical runs");
-    assert!(
-        q_a.iter().any(|&b| b != 0),
-        "probe Q-rows are all zero; the determinism check is vacuous"
-    );
+    // Two runs of one build must agree, and both must match the digest
+    // pinned for this configuration, so a behaviour change to the tabular
+    // agent fails here even when it is deterministic.
+    for (hash_bits, with_pc, pinned) in [
+        (4, false, 0x3be5_3265_cdcf_9379),
+        (8, true, 0x58a8_b7bd_78e5_2143),
+    ] {
+        let (stats_a, q_a) = run_tabular(hash_bits, with_pc);
+        let (stats_b, q_b) = run_tabular(hash_bits, with_pc);
+        assert_eq!(
+            format!("{stats_a:?}"),
+            format!("{stats_b:?}"),
+            "SimStats diverged between identical ReSemble-T runs ({hash_bits}-bit, pc={with_pc})"
+        );
+        assert_eq!(q_a, q_b, "Q-rows diverged between identical runs");
+        assert!(
+            q_a.iter().any(|&b| b != 0),
+            "probe Q-rows are all zero; the determinism check is vacuous"
+        );
+        let d = digest(&stats_a, &q_a);
+        assert_eq!(
+            d, pinned,
+            "ReSemble-T ({hash_bits}-bit, pc={with_pc}) digest {d:#018x} moved from its pin"
+        );
+    }
 }
 
 #[test]
