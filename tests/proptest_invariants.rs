@@ -263,3 +263,63 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// `engine_matches_reference_bit_for_bit` keeps its few MSHRs full, so
+    /// its prefetcher almost never issues. This property drives the
+    /// prefetch path itself: sequential runs (a next-line prefetcher's home
+    /// pattern) broken by random jumps, instruction gaps up to 400 so that
+    /// prefetches land early, late or not at all, 1–64 MSHRs, an LLC of
+    /// 1–32 sets so that prefetched lines past a run's end get evicted
+    /// unused, and a random controller timing in either throughput mode.
+    /// Across the cases, prefetches are issued, used, caught in flight by
+    /// a demand and evicted unused.
+    #[test]
+    fn engine_matches_reference_on_the_prefetch_path(
+        steps in vec((0u8..8, 0u64..0x4000, 0u64..400, 0u8..8), 20..250),
+        warmup_pct in 0u64..60,
+        mshrs in 1usize..=64,
+        llc_sets in 1usize..=32,
+        latency in 0u64..=300,
+        high_throughput in any::<bool>(),
+        degree in 1usize..=4,
+    ) {
+        let mut trace = Vec::with_capacity(steps.len());
+        let (mut instr_id, mut block) = (0u64, 0u64);
+        for &(jump, target, gap, write) in &steps {
+            instr_id += 1 + gap;
+            // One step in eight jumps to a random block; the rest continue
+            // the run.
+            block = if jump == 0 { target } else { block + 1 };
+            trace.push(MemAccess {
+                instr_id,
+                pc: 0x400 + u64::from(jump == 0),
+                addr: block << 6,
+                is_write: write == 0,
+            });
+        }
+        let n = trace.len();
+        let warmup = n * warmup_pct as usize / 100;
+        let mut cfg = SimConfig::test_small();
+        cfg.llc_mshrs = mshrs;
+        cfg.llc_size = llc_sets * cfg.llc_ways * 64;
+        cfg.prefetch_timing = PrefetchTiming { latency, high_throughput };
+        let mut pf_a = NextLine::new(degree);
+        let mut pf_b = NextLine::new(degree);
+        let fast = Engine::new(cfg).run(
+            &mut VecSource::new(trace.clone()),
+            Some(&mut pf_a),
+            warmup,
+            n - warmup,
+        );
+        let slow = ReferenceEngine::new(cfg).run(
+            &mut VecSource::new(trace),
+            Some(&mut pf_b),
+            warmup,
+            n - warmup,
+        );
+        prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+    }
+}
