@@ -11,6 +11,15 @@
 //! are exhausted, and can be delayed by a controller-latency model
 //! ([`crate::config::PrefetchTiming`], the Fig 11 study).
 //!
+//! The state is split in two. A `Core` is what one core owns: L1D/L2, the
+//! ROB window and retire frontier, its in-flight prefetches and demand
+//! misses with their completion queues, its prefetch controller's busy
+//! time, and its statistics. A `Backend` is what cores share: the LLC, its
+//! MSHRs, and DRAM. `Core::step` is the whole access path of one core over
+//! a back end. [`Engine`] is one core over its own back end, and
+//! [`crate::MultiCoreEngine`] steps N cores over one shared back end, so
+//! both run this one timing model.
+//!
 //! This is the optimized hot path: completion events live in flat
 //! `TimeQueue`s instead of binary heaps (issue times are monotone, see
 //! `queue.rs`), cache probes are flat tag scans (`cache.rs`), fill/evict
@@ -37,21 +46,16 @@ use std::collections::VecDeque;
 /// [`Engine::run`].
 const RUN_BATCH: usize = 1024;
 
-/// The simulation engine. One engine simulates one core.
-pub struct Engine {
-    cfg: SimConfig,
+/// One core's private state.
+pub(crate) struct Core {
     l1d: Cache,
     l2: Cache,
-    llc: Cache,
-    dram: Dram,
     /// retirement time in 1/width-cycle slots
     retire_slots: u64,
     prev_instr: Option<u64>,
     first_instr: Option<u64>,
     rob_window: VecDeque<(u64, u64)>,
     rob_gate: u64,
-    /// completion cycles of requests occupying LLC MSHRs
-    outstanding: TimeQueue<u64>,
     inflight_prefetch: FxHashMap<u64, u64>,
     /// in-flight prefetches issued before the measurement boundary: their
     /// fills and uses carry no prefetch attribution. Kept as a map to a
@@ -64,127 +68,40 @@ pub struct Engine {
     controller_busy_until: u64,
     stats: SimStats,
     sugg: Vec<u64>,
+}
+
+/// The memory side behind the cores: the LLC, its MSHRs, and DRAM.
+pub(crate) struct Backend {
+    llc: Cache,
+    /// completion cycles of requests occupying LLC MSHRs
+    outstanding: TimeQueue<u64>,
+    mshrs: usize,
+    dram: Dram,
     /// reusable batch buffer for prefetcher fill/evict notifications
     events: Vec<CacheEvent>,
 }
 
-impl Engine {
-    /// Build an engine from a configuration.
-    pub fn new(cfg: SimConfig) -> Self {
+impl Backend {
+    /// An idle back end with `cfg`'s LLC, MSHR count and DRAM.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
         Self {
-            l1d: Cache::new("l1d", cfg.l1d_size, cfg.l1d_ways),
-            l2: Cache::new("l2", cfg.l2_size, cfg.l2_ways),
             llc: Cache::with_policy("llc", cfg.llc_size, cfg.llc_ways, cfg.llc_replacement),
-            dram: Dram::new(cfg.dram),
-            cfg,
-            retire_slots: 0,
-            prev_instr: None,
-            first_instr: None,
-            rob_window: VecDeque::with_capacity(512),
-            rob_gate: 0,
             outstanding: TimeQueue::with_capacity(128),
-            inflight_prefetch: FxHashMap::default(),
-            unattributed_prefetch: FxHashMap::default(),
-            pf_queue: TimeQueue::with_capacity(128),
-            inflight_demand: FxHashMap::default(),
-            demand_queue: TimeQueue::with_capacity(128),
-            controller_busy_until: 0,
-            stats: SimStats::default(),
-            sugg: Vec::with_capacity(16),
+            mshrs: cfg.llc_mshrs,
+            dram: Dram::new(cfg.dram),
             events: Vec::with_capacity(32),
         }
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
+    /// DRAM row-buffer (hits, misses) since construction.
+    pub(crate) fn dram_stats(&self) -> (u64, u64) {
+        (self.dram.row_hits, self.dram.row_misses)
     }
 
-    /// Current cycle (retirement frontier).
-    pub fn cycle(&self) -> u64 {
-        self.retire_slots / self.cfg.width
-    }
-
-    /// Cumulative raw statistics since construction/reset.
-    pub fn raw_stats(&self) -> SimStats {
-        let mut s = self.stats;
-        s.cycles = self.cycle();
-        s.instructions = match (self.first_instr, self.prev_instr) {
-            (Some(f), Some(l)) => l - f + 1,
-            _ => 0,
-        };
-        s.dram_row_hits = self.dram.row_hits;
-        s.dram_row_misses = self.dram.row_misses;
-        s
-    }
-
-    /// Clear all state (caches, timing, statistics).
-    pub fn reset(&mut self) {
-        *self = Engine::new(self.cfg);
-    }
-
-    /// Mark the warmup → measurement boundary: prefetches issued before
-    /// this point no longer count as useful/unused, so the measured
-    /// accuracy reflects only measured-window prefetches.
-    pub fn begin_measurement(&mut self) {
+    /// The shared half of the measurement boundary: lines already in the
+    /// LLC no longer count as prefetched.
+    pub(crate) fn begin_measurement(&mut self) {
         self.llc.clear_prefetch_marks();
-        self.unattributed_prefetch = self.inflight_prefetch.keys().map(|&b| (b, ())).collect();
-    }
-
-    /// Release prefetch fills that have completed by `now`. Cache-state
-    /// changes happen eagerly in event order; prefetcher notifications are
-    /// batched into `self.events` and delivered in one call at the end of
-    /// the drain (the prefetcher observes the identical sequence — it is
-    /// only consulted again after the drain).
-    fn drain_prefetch_fills<'a, 'b>(
-        &mut self,
-        now: u64,
-        prefetcher: &mut Option<&'b mut (dyn Prefetcher + 'a)>,
-    ) {
-        let notify = prefetcher.is_some();
-        while let Some(&(ready, block)) = self.pf_queue.peek() {
-            if ready > now {
-                break;
-            }
-            self.pf_queue.pop();
-            if self.inflight_prefetch.remove(&block).is_none() {
-                continue; // consumed by a late demand
-            }
-            let attributed = self.unattributed_prefetch.remove(&block).is_none();
-            let addr = block_addr(block);
-            if let Some(ev) = self.llc.fill(addr, false, attributed) {
-                if ev.unused_prefetch {
-                    self.stats.prefetches_unused_evicted += 1;
-                }
-                if notify {
-                    self.events.push(CacheEvent::Evict {
-                        addr: block_addr(ev.block),
-                        unused_prefetch: ev.unused_prefetch,
-                    });
-                }
-            }
-            if notify {
-                self.events.push(CacheEvent::PrefetchFill { addr });
-            }
-        }
-        while let Some(&(ready, block)) = self.demand_queue.peek() {
-            if ready > now {
-                break;
-            }
-            self.demand_queue.pop();
-            self.inflight_demand.remove(&block);
-            if notify {
-                self.events.push(CacheEvent::DemandFill {
-                    addr: block_addr(block),
-                });
-            }
-        }
-        if !self.events.is_empty() {
-            if let Some(pf) = prefetcher.as_deref_mut() {
-                pf.on_cache_events(&self.events);
-            }
-            self.events.clear();
-        }
     }
 
     /// Free MSHR slots whose requests completed by `now`; returns the
@@ -200,26 +117,127 @@ impl Engine {
         }
         self.outstanding.len()
     }
+}
+
+impl Core {
+    /// An idle core with `cfg`'s private caches.
+    pub(crate) fn new(cfg: &SimConfig) -> Self {
+        Self {
+            l1d: Cache::new("l1d", cfg.l1d_size, cfg.l1d_ways),
+            l2: Cache::new("l2", cfg.l2_size, cfg.l2_ways),
+            retire_slots: 0,
+            prev_instr: None,
+            first_instr: None,
+            rob_window: VecDeque::with_capacity(512),
+            rob_gate: 0,
+            inflight_prefetch: FxHashMap::default(),
+            unattributed_prefetch: FxHashMap::default(),
+            pf_queue: TimeQueue::with_capacity(128),
+            inflight_demand: FxHashMap::default(),
+            demand_queue: TimeQueue::with_capacity(128),
+            controller_busy_until: 0,
+            stats: SimStats::default(),
+            sugg: Vec::with_capacity(16),
+        }
+    }
+
+    /// Retirement frontier in 1/width-cycle slots.
+    pub(crate) fn retire_slots(&self) -> u64 {
+        self.retire_slots
+    }
+
+    /// Cumulative statistics of this core. The DRAM row counters belong
+    /// to the back end and stay zero here.
+    pub(crate) fn raw_stats(&self, cfg: &SimConfig) -> SimStats {
+        let mut s = self.stats;
+        s.cycles = self.retire_slots / cfg.width;
+        s.instructions = match (self.first_instr, self.prev_instr) {
+            (Some(f), Some(l)) => l - f + 1,
+            _ => 0,
+        };
+        s
+    }
+
+    /// The per-core half of the measurement boundary: prefetches still in
+    /// flight no longer count as useful or late when they are used.
+    pub(crate) fn begin_measurement(&mut self) {
+        self.unattributed_prefetch = self.inflight_prefetch.keys().map(|&b| (b, ())).collect();
+    }
+
+    /// Release prefetch fills that have completed by `now`. Cache-state
+    /// changes happen eagerly in event order; prefetcher notifications are
+    /// batched into `backend.events` and delivered in one call at the end
+    /// of the drain (the prefetcher observes the identical sequence — it is
+    /// only consulted again after the drain).
+    fn drain_prefetch_fills<'a, 'b>(
+        &mut self,
+        backend: &mut Backend,
+        now: u64,
+        prefetcher: &mut Option<&'b mut (dyn Prefetcher + 'a)>,
+    ) {
+        let notify = prefetcher.is_some();
+        while let Some(&(ready, block)) = self.pf_queue.peek() {
+            if ready > now {
+                break;
+            }
+            self.pf_queue.pop();
+            if self.inflight_prefetch.remove(&block).is_none() {
+                continue; // consumed by a late demand
+            }
+            let attributed = self.unattributed_prefetch.remove(&block).is_none();
+            let addr = block_addr(block);
+            if let Some(ev) = backend.llc.fill(addr, false, attributed) {
+                if ev.unused_prefetch {
+                    self.stats.prefetches_unused_evicted += 1;
+                }
+                if notify {
+                    backend.events.push(CacheEvent::Evict {
+                        addr: block_addr(ev.block),
+                        unused_prefetch: ev.unused_prefetch,
+                    });
+                }
+            }
+            if notify {
+                backend.events.push(CacheEvent::PrefetchFill { addr });
+            }
+        }
+        while let Some(&(ready, block)) = self.demand_queue.peek() {
+            if ready > now {
+                break;
+            }
+            self.demand_queue.pop();
+            self.inflight_demand.remove(&block);
+            if notify {
+                backend.events.push(CacheEvent::DemandFill {
+                    addr: block_addr(block),
+                });
+            }
+        }
+        if !backend.events.is_empty() {
+            if let Some(pf) = prefetcher.as_deref_mut() {
+                pf.on_cache_events(&backend.events);
+            }
+            backend.events.clear();
+        }
+    }
 
     /// Simulate one demand access; returns its completion cycle.
     fn simulate_access<'a, 'b>(
         &mut self,
+        cfg: &SimConfig,
+        backend: &mut Backend,
         a: &MemAccess,
         issue: u64,
         prefetcher: &mut Option<&'b mut (dyn Prefetcher + 'a)>,
     ) -> u64 {
-        // Scalar copies, not `let cfg = self.cfg`: SimConfig is large and
-        // a full copy per access is measurable on this path.
-        let l1_lat = self.cfg.l1d_latency;
-        let l2_lat = self.cfg.l2_latency;
-        let llc_lat = self.cfg.llc_latency;
-        let llc_mshrs = self.cfg.llc_mshrs;
+        let llc_lat = cfg.llc_latency;
+        let mshrs = backend.mshrs;
         self.stats.demand_accesses += 1;
         if matches!(self.l1d.access(a.addr, a.is_write), Lookup::Hit { .. }) {
-            return issue + l1_lat;
+            return issue + cfg.l1d_latency;
         }
         self.stats.l1d_misses += 1;
-        let l2_t = issue + l1_lat + l2_lat;
+        let l2_t = issue + cfg.l1d_latency + cfg.l2_latency;
         if matches!(self.l2.access(a.addr, a.is_write), Lookup::Hit { .. }) {
             self.l1d.fill_known_miss(a.addr, a.is_write, false);
             return l2_t;
@@ -230,7 +248,7 @@ impl Engine {
         // prefetchers observe. ---
         let block = block_of(a.addr);
         let llc_t = l2_t + llc_lat;
-        let lookup = self.llc.access(a.addr, a.is_write);
+        let lookup = backend.llc.access(a.addr, a.is_write);
         let llc_hit = matches!(lookup, Lookup::Hit { .. });
         let complete = match lookup {
             Lookup::Hit {
@@ -263,38 +281,39 @@ impl Engine {
                         self.stats.prefetches_useful += 1;
                         self.stats.prefetches_late += 1;
                     }
-                    self.fill_all(a, false);
+                    self.fill_all(&mut backend.llc, a);
                     llc_t.max(ready)
                 } else if let Some(&ready) = self.inflight_demand.get(&block) {
                     // MSHR merge with an outstanding demand miss.
                     llc_t.max(ready)
                 } else {
                     self.stats.llc_demand_misses += 1;
-                    let start = if self.expire_mshrs(issue) < llc_mshrs {
+                    let start = if backend.expire_mshrs(issue) < mshrs {
                         llc_t
                     } else {
                         // MSHRs full: the request has already traversed
                         // L1/L2/LLC (that cost is inside `llc_t`); it only
                         // waits the *residual* time until the earliest
                         // entry frees — and it takes over that freed slot
-                        // (pop), so occupancy stays bounded by `llc_mshrs`
-                        // and a second stalled demand waits for the *next*
-                        // slot. (The seed recharged the full traversal on
-                        // top of `free_at` and left the dead entry in
-                        // place — see `ReferenceEngine` module docs.)
-                        let free_at = self.outstanding.pop().unwrap_or(issue);
+                        // (pop), so occupancy stays bounded by the MSHR
+                        // count and a second stalled demand waits for the
+                        // *next* slot. (The seed recharged the full
+                        // traversal on top of `free_at` and left the dead
+                        // entry in place — see `ReferenceEngine` module
+                        // docs.)
+                        let free_at = backend.outstanding.pop().unwrap_or(issue);
                         llc_t.max(free_at)
                     };
-                    let done = self.dram.access(block, start);
-                    self.outstanding.push(done);
+                    let done = backend.dram.access(block, start);
+                    backend.outstanding.push(done);
                     debug_assert!(
-                        self.outstanding.len() <= llc_mshrs,
-                        "MSHR occupancy {} exceeds capacity {llc_mshrs} after demand miss",
-                        self.outstanding.len()
+                        backend.outstanding.len() <= mshrs,
+                        "MSHR occupancy {} exceeds capacity {mshrs} after demand miss",
+                        backend.outstanding.len()
                     );
                     self.inflight_demand.insert(block, done);
                     self.demand_queue.push((done, block));
-                    self.fill_all(a, false);
+                    self.fill_all(&mut backend.llc, a);
                     done
                 }
             }
@@ -306,7 +325,7 @@ impl Engine {
         if let Some(pf) = prefetcher.as_deref_mut() {
             self.sugg.clear();
             pf.on_access(a, llc_hit, &mut self.sugg);
-            let timing = self.cfg.prefetch_timing;
+            let timing = cfg.prefetch_timing;
             let mut can_issue = true;
             if !timing.high_throughput && timing.latency > 0 && self.controller_busy_until > issue {
                 can_issue = false; // controller still busy with an earlier inference
@@ -320,25 +339,25 @@ impl Engine {
                 for i in 0..self.sugg.len() {
                     let s = self.sugg[i];
                     let sb = block_of(s);
-                    if self.llc.contains(s)
+                    if backend.llc.contains(s)
                         || self.inflight_prefetch.contains_key(&sb)
                         || self.inflight_demand.contains_key(&sb)
                     {
                         continue;
                     }
                     if occupancy == usize::MAX {
-                        occupancy = self.expire_mshrs(ready_base);
+                        occupancy = backend.expire_mshrs(ready_base);
                     }
-                    if occupancy >= llc_mshrs {
+                    if occupancy >= mshrs {
                         break; // prefetches are droppable
                     }
-                    let done = self.dram.access(sb, ready_base + llc_lat);
-                    self.outstanding.push(done);
+                    let done = backend.dram.access(sb, ready_base + llc_lat);
+                    backend.outstanding.push(done);
                     occupancy += 1;
                     debug_assert!(
-                        self.outstanding.len() <= llc_mshrs,
-                        "MSHR occupancy {} exceeds capacity {llc_mshrs} after prefetch issue",
-                        self.outstanding.len()
+                        backend.outstanding.len() <= mshrs,
+                        "MSHR occupancy {} exceeds capacity {mshrs} after prefetch issue",
+                        backend.outstanding.len()
                     );
                     self.inflight_prefetch.insert(sb, done);
                     self.pf_queue.push((done, sb));
@@ -358,8 +377,8 @@ impl Engine {
     /// Fill the whole hierarchy for a demand miss, accounting LLC
     /// prefetch-pollution evictions. Every caller has just observed a miss
     /// in all three levels, so the presence probes are skipped.
-    fn fill_all(&mut self, a: &MemAccess, is_prefetch: bool) {
-        if let Some(ev) = self.llc.fill_known_miss(a.addr, a.is_write, is_prefetch) {
+    fn fill_all(&mut self, llc: &mut Cache, a: &MemAccess) {
+        if let Some(ev) = llc.fill_known_miss(a.addr, a.is_write, false) {
             if ev.unused_prefetch {
                 self.stats.prefetches_unused_evicted += 1;
             }
@@ -368,14 +387,16 @@ impl Engine {
         self.l1d.fill_known_miss(a.addr, a.is_write, false);
     }
 
-    /// Advance the machine over one access, returning its retire cycle.
-    pub fn step<'a>(
+    /// Advance this core over one access through `backend`, returning the
+    /// access's retire cycle.
+    pub(crate) fn step<'a>(
         &mut self,
+        cfg: &SimConfig,
+        backend: &mut Backend,
         a: &MemAccess,
         mut prefetcher: Option<&mut (dyn Prefetcher + 'a)>,
     ) -> u64 {
-        let width = self.cfg.width;
-        let rob_size = self.cfg.rob_size;
+        let width = cfg.width;
         if self.first_instr.is_none() {
             self.first_instr = Some(a.instr_id);
         }
@@ -391,7 +412,7 @@ impl Engine {
         // ROB gate: this instruction needs the slot of the instruction
         // rob_size earlier, which must have retired.
         while let Some(&(id, retire)) = self.rob_window.front() {
-            if id + rob_size <= a.instr_id {
+            if id + cfg.rob_size <= a.instr_id {
                 self.rob_gate = self.rob_gate.max(retire);
                 self.rob_window.pop_front();
             } else {
@@ -400,14 +421,74 @@ impl Engine {
         }
         let issue = fetch_cycle.max(self.rob_gate);
 
-        self.drain_prefetch_fills(issue, &mut prefetcher);
-        let complete = self.simulate_access(a, issue, &mut prefetcher);
+        self.drain_prefetch_fills(backend, issue, &mut prefetcher);
+        let complete = self.simulate_access(cfg, backend, a, issue, &mut prefetcher);
 
         // In-order retirement at `width` per cycle.
         self.retire_slots = (self.retire_slots + gap + 1).max(complete.saturating_mul(width));
         let retire_cycle = self.retire_slots / width;
         self.rob_window.push_back((a.instr_id, retire_cycle));
         retire_cycle
+    }
+}
+
+/// The simulation engine: one core over its own LLC and DRAM.
+pub struct Engine {
+    cfg: SimConfig,
+    core: Core,
+    backend: Backend,
+}
+
+impl Engine {
+    /// Build an engine from a configuration.
+    pub fn new(cfg: SimConfig) -> Self {
+        Self {
+            core: Core::new(&cfg),
+            backend: Backend::new(&cfg),
+            cfg,
+        }
+    }
+
+    /// Configuration in use.
+    pub fn config(&self) -> &SimConfig {
+        &self.cfg
+    }
+
+    /// Current cycle (retirement frontier).
+    pub fn cycle(&self) -> u64 {
+        self.core.retire_slots / self.cfg.width
+    }
+
+    /// Cumulative raw statistics since construction/reset.
+    pub fn raw_stats(&self) -> SimStats {
+        let (dram_row_hits, dram_row_misses) = self.backend.dram_stats();
+        SimStats {
+            dram_row_hits,
+            dram_row_misses,
+            ..self.core.raw_stats(&self.cfg)
+        }
+    }
+
+    /// Clear all state (caches, timing, statistics).
+    pub fn reset(&mut self) {
+        *self = Engine::new(self.cfg);
+    }
+
+    /// Mark the warmup → measurement boundary: prefetches issued before
+    /// this point no longer count as useful/unused, so the measured
+    /// accuracy reflects only measured-window prefetches.
+    pub fn begin_measurement(&mut self) {
+        self.backend.begin_measurement();
+        self.core.begin_measurement();
+    }
+
+    /// Advance the machine over one access, returning its retire cycle.
+    pub fn step<'a>(
+        &mut self,
+        a: &MemAccess,
+        prefetcher: Option<&mut (dyn Prefetcher + 'a)>,
+    ) -> u64 {
+        self.core.step(&self.cfg, &mut self.backend, a, prefetcher)
     }
 
     /// Run `warmup` accesses (state training, no statistics), then
@@ -721,9 +802,9 @@ mod tests {
                 Some(&mut nl as &mut dyn Prefetcher),
             );
             assert!(
-                e.outstanding.len() <= cfg.llc_mshrs,
+                e.backend.outstanding.len() <= cfg.llc_mshrs,
                 "step {i}: occupancy {} > {}",
-                e.outstanding.len(),
+                e.backend.outstanding.len(),
                 cfg.llc_mshrs
             );
         }

@@ -1,86 +1,28 @@
 //! Multi-core simulation — the paper's §VIII future work ("ensemble
 //! prefetching for multi-core architectures").
 //!
-//! N cores each have a private L1D/L2 and their own timing state (same
-//! analytic OoO model as [`crate::engine::Engine`]) and share the LLC, its
-//! MSHRs, and DRAM. Cores advance in round-robin access order — an
-//! approximation of concurrent execution that preserves what matters for
-//! the prefetching question: shared-LLC capacity contention, shared-MSHR
-//! pressure, and DRAM bank interference between cores' demand and
-//! prefetch streams. Each core may host its own prefetcher/controller
+//! N cores share one LLC, its MSHRs, and DRAM. Each core is the same
+//! per-core timing model [`crate::engine::Engine`] runs (private L1D/L2,
+//! ROB and retire frontier, in-flight requests, prefetch controller
+//! timing), stepped over one shared back end instead of a private one.
+//! Cores advance in time order — always the core with the earliest retire
+//! frontier — an approximation of concurrent execution that preserves what
+//! matters for the prefetching question: shared-LLC capacity contention,
+//! shared-MSHR pressure, and DRAM bank interference between cores' demand
+//! and prefetch streams. Each core may host its own prefetcher/controller
 //! (the private-controller organization the paper hints at).
 
-use crate::cache::{Cache, Lookup};
 use crate::config::SimConfig;
-use crate::dram::Dram;
-use crate::queue::TimeQueue;
+use crate::engine::{diff_stats, Backend, Core};
 use crate::stats::SimStats;
-use resemble_prefetch::{CacheEvent, Prefetcher};
-use resemble_trace::record::{block_addr, block_of};
-use resemble_trace::util::{FxHashMap, FxHashSet};
-use resemble_trace::{MemAccess, TraceSource};
-use std::collections::VecDeque;
-
-/// Per-core private state.
-struct Core {
-    l1d: Cache,
-    l2: Cache,
-    retire_slots: u64,
-    prev_instr: Option<u64>,
-    first_instr: Option<u64>,
-    rob_window: VecDeque<(u64, u64)>,
-    rob_gate: u64,
-    stats: SimStats,
-    /// prefetches in flight issued by this core
-    inflight_prefetch: FxHashMap<u64, u64>,
-    unattributed: FxHashSet<u64>,
-    pf_queue: TimeQueue<(u64, u64)>,
-    inflight_demand: FxHashMap<u64, u64>,
-    demand_queue: TimeQueue<(u64, u64)>,
-    sugg: Vec<u64>,
-}
-
-impl Core {
-    fn new(cfg: &SimConfig) -> Self {
-        Self {
-            l1d: Cache::new("l1d", cfg.l1d_size, cfg.l1d_ways),
-            l2: Cache::new("l2", cfg.l2_size, cfg.l2_ways),
-            retire_slots: 0,
-            prev_instr: None,
-            first_instr: None,
-            rob_window: VecDeque::new(),
-            rob_gate: 0,
-            stats: SimStats::default(),
-            inflight_prefetch: FxHashMap::default(),
-            unattributed: FxHashSet::default(),
-            pf_queue: TimeQueue::with_capacity(64),
-            inflight_demand: FxHashMap::default(),
-            demand_queue: TimeQueue::with_capacity(64),
-            sugg: Vec::new(),
-        }
-    }
-
-    fn raw_stats(&self, width: u64) -> SimStats {
-        let mut s = self.stats;
-        s.cycles = self.retire_slots / width;
-        s.instructions = match (self.first_instr, self.prev_instr) {
-            (Some(f), Some(l)) => l - f + 1,
-            _ => 0,
-        };
-        s
-    }
-}
+use resemble_prefetch::Prefetcher;
+use resemble_trace::TraceSource;
 
 /// N cores over a shared LLC and DRAM.
 pub struct MultiCoreEngine {
     cfg: SimConfig,
     cores: Vec<Core>,
-    llc: Cache,
-    dram: Dram,
-    /// shared LLC MSHR occupancy (completion cycles)
-    outstanding: TimeQueue<u64>,
-    /// reusable batch buffer for prefetcher fill/evict notifications
-    events: Vec<CacheEvent>,
+    backend: Backend,
 }
 
 impl MultiCoreEngine {
@@ -91,17 +33,13 @@ impl MultiCoreEngine {
     /// MSHRs scale likewise.
     pub fn new(cfg: SimConfig, n_cores: usize) -> Self {
         assert!(n_cores >= 1);
-        let mut dram_cfg = cfg.dram;
-        dram_cfg.banks *= n_cores;
-        let mut shared_cfg = cfg;
-        shared_cfg.llc_mshrs *= n_cores;
+        let mut shared = cfg;
+        shared.dram.banks *= n_cores;
+        shared.llc_mshrs *= n_cores;
         Self {
             cores: (0..n_cores).map(|_| Core::new(&cfg)).collect(),
-            llc: Cache::with_policy("llc", cfg.llc_size, cfg.llc_ways, cfg.llc_replacement),
-            dram: Dram::new(dram_cfg),
-            outstanding: TimeQueue::with_capacity(128),
-            events: Vec::with_capacity(32),
-            cfg: shared_cfg,
+            backend: Backend::new(&shared),
+            cfg,
         }
     }
 
@@ -112,256 +50,7 @@ impl MultiCoreEngine {
 
     /// Shared-DRAM row-buffer statistics (hits, misses).
     pub fn dram_stats(&self) -> (u64, u64) {
-        (self.dram.row_hits, self.dram.row_misses)
-    }
-
-    fn mshr_admit(&mut self, now: u64) -> Result<(), u64> {
-        while let Some(&c) = self.outstanding.peek() {
-            if c <= now {
-                self.outstanding.pop();
-            } else {
-                break;
-            }
-        }
-        if self.outstanding.len() < self.cfg.llc_mshrs {
-            Ok(())
-        } else {
-            Err(self.outstanding.peek().copied().unwrap_or(now))
-        }
-    }
-
-    fn drain_fills(
-        &mut self,
-        core_idx: usize,
-        now: u64,
-        pf: &mut Option<&mut (dyn Prefetcher + '_)>,
-    ) {
-        let notify = pf.is_some();
-        loop {
-            let core = &mut self.cores[core_idx];
-            let Some(&(ready, block)) = core.pf_queue.peek() else {
-                break;
-            };
-            if ready > now {
-                break;
-            }
-            core.pf_queue.pop();
-            if core.inflight_prefetch.remove(&block).is_none() {
-                continue;
-            }
-            let attributed = !core.unattributed.remove(&block);
-            if let Some(ev) = self.llc.fill(block_addr(block), false, attributed) {
-                if ev.unused_prefetch {
-                    self.cores[core_idx].stats.prefetches_unused_evicted += 1;
-                }
-                if notify {
-                    self.events.push(CacheEvent::Evict {
-                        addr: block_addr(ev.block),
-                        unused_prefetch: ev.unused_prefetch,
-                    });
-                }
-            }
-            if notify {
-                self.events.push(CacheEvent::PrefetchFill {
-                    addr: block_addr(block),
-                });
-            }
-        }
-        let core = &mut self.cores[core_idx];
-        while let Some(&(ready, block)) = core.demand_queue.peek() {
-            if ready > now {
-                break;
-            }
-            core.demand_queue.pop();
-            core.inflight_demand.remove(&block);
-            if notify {
-                self.events.push(CacheEvent::DemandFill {
-                    addr: block_addr(block),
-                });
-            }
-        }
-        if !self.events.is_empty() {
-            if let Some(p) = pf.as_deref_mut() {
-                p.on_cache_events(&self.events);
-            }
-            self.events.clear();
-        }
-    }
-
-    /// Advance one core by one access (same model as `Engine::step`).
-    fn step(&mut self, core_idx: usize, a: &MemAccess, mut pf: Option<&mut (dyn Prefetcher + '_)>) {
-        let cfg = self.cfg;
-        let gap = {
-            let core = &mut self.cores[core_idx];
-            if core.first_instr.is_none() {
-                core.first_instr = Some(a.instr_id);
-            }
-            let gap = match core.prev_instr {
-                Some(p) => a.instr_id.saturating_sub(p + 1),
-                None => 0,
-            };
-            core.prev_instr = Some(a.instr_id);
-            gap
-        };
-        let fetch_cycle = a.instr_id / cfg.width;
-        {
-            let core = &mut self.cores[core_idx];
-            while let Some(&(id, retire)) = core.rob_window.front() {
-                if id + cfg.rob_size <= a.instr_id {
-                    core.rob_gate = core.rob_gate.max(retire);
-                    core.rob_window.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-        let issue = fetch_cycle.max(self.cores[core_idx].rob_gate);
-        self.drain_fills(core_idx, issue, &mut pf);
-
-        // --- memory access through private L1/L2 then the shared LLC ---
-        let complete = {
-            let core = &mut self.cores[core_idx];
-            core.stats.demand_accesses += 1;
-            if matches!(core.l1d.access(a.addr, a.is_write), Lookup::Hit { .. }) {
-                issue + cfg.l1d_latency
-            } else {
-                core.stats.l1d_misses += 1;
-                let l2_t = issue + cfg.l1d_latency + cfg.l2_latency;
-                if matches!(core.l2.access(a.addr, a.is_write), Lookup::Hit { .. }) {
-                    core.l1d.fill_known_miss(a.addr, a.is_write, false);
-                    l2_t
-                } else {
-                    core.stats.l2_misses += 1;
-                    let block = block_of(a.addr);
-                    let llc_t = l2_t + cfg.llc_latency;
-                    let lookup = self.llc.access(a.addr, a.is_write);
-                    let llc_hit = matches!(lookup, Lookup::Hit { .. });
-                    let done = match lookup {
-                        Lookup::Hit {
-                            first_use_of_prefetch,
-                        } => {
-                            core.stats.llc_demand_hits += 1;
-                            if first_use_of_prefetch {
-                                core.stats.prefetches_useful += 1;
-                            }
-                            core.l2.fill_known_miss(a.addr, a.is_write, false);
-                            core.l1d.fill_known_miss(a.addr, a.is_write, false);
-                            llc_t
-                        }
-                        Lookup::Miss => {
-                            if let Some(ready) = core.inflight_prefetch.remove(&block) {
-                                core.stats.llc_demand_hits += 1;
-                                if !core.unattributed.remove(&block) {
-                                    core.stats.prefetches_useful += 1;
-                                    core.stats.prefetches_late += 1;
-                                }
-                                if let Some(ev) =
-                                    self.llc.fill_known_miss(a.addr, a.is_write, false)
-                                {
-                                    if ev.unused_prefetch {
-                                        core.stats.prefetches_unused_evicted += 1;
-                                    }
-                                }
-                                core.l2.fill_known_miss(a.addr, a.is_write, false);
-                                core.l1d.fill_known_miss(a.addr, a.is_write, false);
-                                llc_t.max(ready)
-                            } else if let Some(&ready) = core.inflight_demand.get(&block) {
-                                llc_t.max(ready)
-                            } else {
-                                core.stats.llc_demand_misses += 1;
-                                // Shared MSHRs.
-                                let start = {
-                                    // inline admit over self.outstanding
-                                    while let Some(&c) = self.outstanding.peek() {
-                                        if c <= issue {
-                                            self.outstanding.pop();
-                                        } else {
-                                            break;
-                                        }
-                                    }
-                                    if self.outstanding.len() < cfg.llc_mshrs {
-                                        llc_t
-                                    } else {
-                                        // MSHRs full: wait only the residual
-                                        // time until the earliest entry
-                                        // frees (the hierarchy traversal is
-                                        // already inside llc_t) and take
-                                        // over the freed slot.
-                                        let free_at = self.outstanding.pop().unwrap_or(issue);
-                                        llc_t.max(free_at)
-                                    }
-                                };
-                                let done = self.dram.access(block, start);
-                                self.outstanding.push(done);
-                                debug_assert!(
-                                    self.outstanding.len() <= cfg.llc_mshrs,
-                                    "shared MSHR occupancy {} exceeds capacity {} after demand miss",
-                                    self.outstanding.len(),
-                                    cfg.llc_mshrs
-                                );
-                                core.inflight_demand.insert(block, done);
-                                core.demand_queue.push((done, block));
-                                if let Some(ev) =
-                                    self.llc.fill_known_miss(a.addr, a.is_write, false)
-                                {
-                                    if ev.unused_prefetch {
-                                        core.stats.prefetches_unused_evicted += 1;
-                                    }
-                                }
-                                core.l2.fill_known_miss(a.addr, a.is_write, false);
-                                core.l1d.fill_known_miss(a.addr, a.is_write, false);
-                                done
-                            }
-                        }
-                    };
-                    // Prefetcher hook for this core (suggestions copied
-                    // out so the core borrow can be released for the
-                    // shared-structure operations below).
-                    if let Some(p) = pf {
-                        core.sugg.clear();
-                        p.on_access(a, llc_hit, &mut core.sugg);
-                        let sugg = std::mem::take(&mut core.sugg);
-                        let timing = cfg.prefetch_timing;
-                        let ready_base = issue + timing.latency;
-                        for &s in &sugg {
-                            let sb = block_of(s);
-                            let core = &mut self.cores[core_idx];
-                            if self.llc.contains(s)
-                                || core.inflight_prefetch.contains_key(&sb)
-                                || core.inflight_demand.contains_key(&sb)
-                            {
-                                continue;
-                            }
-                            if self.mshr_admit(ready_base).is_err() {
-                                break;
-                            }
-                            let done = self.dram.access(sb, ready_base + cfg.llc_latency);
-                            self.outstanding.push(done);
-                            debug_assert!(
-                                self.outstanding.len() <= cfg.llc_mshrs,
-                                "shared MSHR occupancy {} exceeds capacity {} after prefetch issue",
-                                self.outstanding.len(),
-                                cfg.llc_mshrs
-                            );
-                            let core = &mut self.cores[core_idx];
-                            core.inflight_prefetch.insert(sb, done);
-                            core.pf_queue.push((done, sb));
-                            core.stats.prefetches_issued += 1;
-                        }
-                        self.cores[core_idx].sugg = sugg;
-                    }
-                    if a.is_write {
-                        issue + 1
-                    } else {
-                        done
-                    }
-                }
-            }
-        };
-        let core = &mut self.cores[core_idx];
-        core.retire_slots = (core.retire_slots + gap + 1).max(complete.saturating_mul(cfg.width));
-        let retire = core.retire_slots / cfg.width;
-        core.rob_window.push_back((a.instr_id, retire));
+        self.backend.dram_stats()
     }
 
     /// Step the cores in *time order* — always advance the core whose
@@ -375,26 +64,18 @@ impl MultiCoreEngine {
         prefetchers: &mut [Option<Box<dyn Prefetcher + Send>>],
         quota: usize,
     ) {
-        let n = self.cores.len();
-        let mut remaining: Vec<usize> = vec![quota; n];
-        loop {
-            let mut best: Option<(usize, u64)> = None;
-            for (c, &rem) in remaining.iter().enumerate() {
-                if rem == 0 {
-                    continue;
-                }
-                let t = self.cores[c].retire_slots;
-                if best.map(|(_, bt)| t < bt).unwrap_or(true) {
-                    best = Some((c, t));
-                }
-            }
-            let Some((c, _)) = best else { break };
+        let mut remaining = vec![quota; self.cores.len()];
+        // `min_by_key` keeps the first of equal frontiers: the lowest core.
+        while let Some(c) = (0..self.cores.len())
+            .filter(|&c| remaining[c] > 0)
+            .min_by_key(|&c| self.cores[c].retire_slots())
+        {
             match sources[c].next_access() {
                 Some(a) => {
                     let pf = prefetchers[c]
                         .as_deref_mut()
                         .map(|p| p as &mut (dyn Prefetcher + '_));
-                    self.step(c, &a, pf);
+                    self.cores[c].step(&self.cfg, &mut self.backend, &a, pf);
                     remaining[c] -= 1;
                 }
                 None => remaining[c] = 0,
@@ -403,7 +84,8 @@ impl MultiCoreEngine {
     }
 
     /// Run all cores: `warmup` + `measure` accesses per core. Returns
-    /// per-core measured statistics.
+    /// per-core measured statistics; their DRAM row counters are zero, as
+    /// DRAM is shared (see [`Self::dram_stats`]).
     pub fn run(
         &mut self,
         sources: &mut [Box<dyn TraceSource + Send>],
@@ -418,45 +100,28 @@ impl MultiCoreEngine {
             "one prefetcher slot per core"
         );
         self.run_phase(sources, prefetchers, warmup);
-        // Measurement boundary per core + shared LLC.
-        self.llc.clear_prefetch_marks();
+        self.backend.begin_measurement();
+        let mut before = Vec::with_capacity(self.cores.len());
         for core in &mut self.cores {
-            core.unattributed = core.inflight_prefetch.keys().copied().collect();
+            core.begin_measurement();
+            before.push(core.raw_stats(&self.cfg));
         }
-        let width = self.cfg.width;
-        let before: Vec<SimStats> = self.cores.iter().map(|c| c.raw_stats(width)).collect();
         self.run_phase(sources, prefetchers, measure);
         self.cores
             .iter()
             .zip(before)
-            .map(|(core, b)| diff(core.raw_stats(width), b))
+            .map(|(core, b)| diff_stats(&core.raw_stats(&self.cfg), &b))
             .collect()
-    }
-}
-
-fn diff(a: SimStats, b: SimStats) -> SimStats {
-    SimStats {
-        instructions: a.instructions - b.instructions,
-        cycles: a.cycles - b.cycles,
-        demand_accesses: a.demand_accesses - b.demand_accesses,
-        l1d_misses: a.l1d_misses - b.l1d_misses,
-        l2_misses: a.l2_misses - b.l2_misses,
-        llc_demand_hits: a.llc_demand_hits - b.llc_demand_hits,
-        llc_demand_misses: a.llc_demand_misses - b.llc_demand_misses,
-        prefetches_issued: a.prefetches_issued - b.prefetches_issued,
-        prefetches_useful: a.prefetches_useful - b.prefetches_useful,
-        prefetches_late: a.prefetches_late - b.prefetches_late,
-        prefetches_unused_evicted: a.prefetches_unused_evicted - b.prefetches_unused_evicted,
-        dram_row_hits: 0,
-        dram_row_misses: 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PrefetchTiming;
+    use crate::engine::Engine;
     use resemble_prefetch::NextLine;
-    use resemble_trace::gen::StreamGen;
+    use resemble_trace::gen::{app_by_name, StreamGen};
 
     fn sources(n: usize, seed: u64) -> Vec<Box<dyn TraceSource + Send>> {
         (0..n)
@@ -467,32 +132,61 @@ mod tests {
             .collect()
     }
 
-    /// One core with no prefetcher is the single-core `Engine` timing
-    /// model: identical stats at every issue width (the multicore window
-    /// does not report DRAM row counters, so those are left out).
+    /// One core is the single-core `Engine` timing model: identical stats
+    /// at every issue width, without a prefetcher and with a `NextLine`
+    /// one under every kind of controller timing. The multicore window
+    /// does not report DRAM row counters, so those are compared over the
+    /// whole run instead.
     #[test]
     fn single_core_matches_engine_at_every_width() {
+        let timing = |latency, high_throughput| PrefetchTiming {
+            latency,
+            high_throughput,
+        };
+        let cases = [
+            (false, PrefetchTiming::default()),
+            (true, PrefetchTiming::default()),
+            (true, timing(50, true)),
+            (true, timing(40, false)),
+            (true, timing(200, false)),
+        ];
         for width in [2, 4, 8] {
-            let cfg = SimConfig {
-                width,
-                ..SimConfig::test_small()
-            };
-            let mut mc = MultiCoreEngine::new(cfg, 1);
-            let mut srcs = sources(1, 1);
-            let mut pfs: Vec<Option<Box<dyn Prefetcher + Send>>> = vec![None];
-            let stats = mc.run(&mut srcs, &mut pfs, 1000, 10_000);
-            let mut engine = crate::engine::Engine::new(cfg);
-            let mut src = StreamGen::new(1, 2, 100_000, 6).with_write_ratio(0.0);
-            let single = SimStats {
-                dram_row_hits: 0,
-                dram_row_misses: 0,
-                ..engine.run(&mut src, None, 1000, 10_000)
-            };
-            assert_eq!(
-                format!("{:?}", stats[0]),
-                format!("{single:?}"),
-                "width {width}"
-            );
+            for (with_pf, prefetch_timing) in cases {
+                let cfg = SimConfig {
+                    width,
+                    prefetch_timing,
+                    ..SimConfig::test_small()
+                };
+                let milc = || app_by_name("433.milc", 1).unwrap().source;
+                let mut mc = MultiCoreEngine::new(cfg, 1);
+                let mut pfs: Vec<Option<Box<dyn Prefetcher + Send>>> =
+                    vec![with_pf.then(|| Box::new(NextLine::new(4)) as _)];
+                let stats = mc.run(&mut [milc()], &mut pfs, 1000, 10_000);
+                let mut engine = Engine::new(cfg);
+                let mut nl = NextLine::new(4);
+                let pf = with_pf.then_some(&mut nl as &mut dyn Prefetcher);
+                let single = engine.run(&mut *milc(), pf, 1000, 10_000);
+                let case = format!("width {width}, prefetcher {with_pf}, {prefetch_timing:?}");
+                assert_eq!(
+                    format!("{:?}", stats[0]),
+                    format!(
+                        "{:?}",
+                        SimStats {
+                            dram_row_hits: 0,
+                            dram_row_misses: 0,
+                            ..single
+                        }
+                    ),
+                    "{case}"
+                );
+                let all = engine.raw_stats();
+                assert_eq!(
+                    mc.dram_stats(),
+                    (all.dram_row_hits, all.dram_row_misses),
+                    "{case}"
+                );
+                assert_eq!(with_pf, single.prefetches_issued > 0, "{case}");
+            }
         }
     }
 
