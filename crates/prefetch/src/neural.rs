@@ -337,6 +337,48 @@ mod tests {
     }
 
     #[test]
+    fn trained_scorer_matches_pinned_parameter_bits() {
+        // Pins the scorer's SGD path (forward, backward, apply_grads) at
+        // the bit level: a seeded stream of biased successors over four
+        // PCs trains the network, and the FNV-1a digest of every
+        // parameter's bits must not move.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let seq: Vec<(u64, u64)> = (0..4000u64)
+            .map(|i| {
+                let pc = 0x40 + (i % 4);
+                let succ = if rng.gen_bool(0.7) {
+                    0
+                } else {
+                    rng.gen_range(1..4)
+                };
+                (
+                    pc,
+                    0x10_0000 * (pc & 0xf) + 0x1000 * ((i / 4) % 8) + 0x40 * succ,
+                )
+            })
+            .collect();
+        let mut p = NeuralTemporalPrefetcher::new(6);
+        let fresh = p.net.flat_params();
+        feed(&mut p, &seq);
+        let params = p.net.flat_params();
+        assert_ne!(
+            params, fresh,
+            "the scorer never trained; the pin is vacuous"
+        );
+        let digest = params
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(
+            digest, 0x04ea_8d51_a596_4708,
+            "scorer digest {digest:#018x} moved from its pin"
+        );
+    }
+
+    #[test]
     fn budget_is_reported() {
         let p = NeuralTemporalPrefetcher::new(0);
         assert!(p.budget_bytes() > 0);

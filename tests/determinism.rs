@@ -14,7 +14,8 @@ const APP: &str = "433.milc";
 const SEED: u64 = 7;
 
 /// One fresh MLP-controller run: stats plus a Q-value probe on a fixed
-/// post-training state.
+/// post-training state, followed by the bits of every parameter of both
+/// networks.
 fn run_mlp() -> (SimStats, Vec<u32>) {
     let cfg = ResembleConfig::fast();
     let probe: Vec<f32> = (0..cfg.state_dim)
@@ -25,12 +26,13 @@ fn run_mlp() -> (SimStats, Vec<u32>) {
     let mut src = app_by_name(APP, SEED).expect("known app").source;
     let stats = engine.run(&mut *src, Some(&mut ctl), WARMUP, MEASURE);
     // Compare float bits, not values: determinism means bit-identity.
-    let q = ctl
+    let mut q: Vec<u32> = ctl
         .agent_mut()
         .q_values(&probe)
         .iter()
         .map(|v| v.to_bits())
         .collect();
+    q.extend(ctl.agent().param_bits());
     (stats, q)
 }
 
@@ -73,6 +75,9 @@ fn digest(stats: &SimStats, q: &[u32]) -> u64 {
 
 #[test]
 fn mlp_controller_runs_are_bit_identical() {
+    // Two runs of one build must agree, and both must match the pinned
+    // digest, so a change to the SGD training path fails here even when
+    // it is deterministic.
     let (stats_a, q_a) = run_mlp();
     let (stats_b, q_b) = run_mlp();
     assert_eq!(
@@ -85,6 +90,11 @@ fn mlp_controller_runs_are_bit_identical() {
     assert!(
         q_a.iter().any(|&b| b != 0),
         "probe Q-values are all zero; the determinism check is vacuous"
+    );
+    let d = digest(&stats_a, &q_a);
+    assert_eq!(
+        d, 0xac88_6184_f631_2430,
+        "ReSemble-MLP digest {d:#018x} moved from its pin"
     );
 }
 
