@@ -8,7 +8,7 @@ use resemble_bench::factory;
 use resemble_core::preprocess::fold_hash;
 use resemble_core::{Datapath, DqnAgent, ReplayMemory, ResembleConfig};
 use resemble_nn::simd;
-use resemble_nn::{Activation, Matrix, Mlp, Sgd};
+use resemble_nn::{Activation, Matrix, Mlp};
 use resemble_prefetch::{
     BestOffset, Domino, Isb, NextLine, Prefetcher, Spp, StridePrefetcher, Vldp,
 };
@@ -34,14 +34,13 @@ fn bench_mlp(c: &mut Criterion) {
 
     let mut train_net = net.clone();
     let mut grads = train_net.make_grad_buffer();
-    let mut opt = Sgd::new(0.05);
     c.bench_function("mlp/train_step_batch32", |b| {
         b.iter(|| {
             for _ in 0..32 {
                 let y = train_net.forward(&x, &mut scratch)[2];
                 train_net.backward(&mut scratch, &[0.0, 0.0, y - 1.0, 0.0, 0.0], &mut grads);
             }
-            train_net.apply_grads(&mut grads, &mut opt);
+            train_net.apply_grads(&mut grads, 0.05);
         })
     });
 }

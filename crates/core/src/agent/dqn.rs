@@ -20,7 +20,7 @@ use crate::replay::ReplayMemory;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use resemble_nn::checkpoint::{load_mlp_binary, save_mlp_binary};
-use resemble_nn::{Activation, BatchScratch, GradBuffer, Matrix, Mlp, Scratch, Sgd};
+use resemble_nn::{Activation, BatchScratch, GradBuffer, Matrix, Mlp, Scratch};
 use std::io::{self, Read, Write};
 
 /// Magic bytes opening a DQN agent checkpoint.
@@ -52,7 +52,6 @@ pub struct DqnAgent {
     batch_scratch_p: BatchScratch,
     batch_scratch_t: BatchScratch,
     grads: GradBuffer,
-    opt: Sgd,
     rng: StdRng,
     step: u64,
     datapath: Datapath,
@@ -74,8 +73,10 @@ pub struct DqnAgent {
 }
 
 impl DqnAgent {
-    /// Build an agent for the given configuration.
+    /// Build an agent for the given configuration. Panics unless
+    /// `cfg.learning_rate` is positive.
     pub fn new(cfg: ResembleConfig, seed: u64) -> Self {
+        assert!(cfg.learning_rate > 0.0, "learning rate must be positive");
         let sizes = [cfg.input_dim(), cfg.hidden_dim, cfg.action_dim];
         let policy = Mlp::new(&sizes, Activation::Relu, seed);
         let target = policy.clone();
@@ -85,7 +86,6 @@ impl DqnAgent {
         let batch_scratch_t = target.make_batch_scratch(cfg.batch_size);
         let grads = policy.make_grad_buffer();
         Self {
-            opt: Sgd::new(cfg.learning_rate),
             cfg,
             policy,
             target,
@@ -400,7 +400,8 @@ impl DqnAgent {
         }
         self.policy
             .backward_batch(&mut self.batch_scratch_p, &self.out_grads, &mut self.grads);
-        self.policy.apply_grads(&mut self.grads, &mut self.opt);
+        self.policy
+            .apply_grads(&mut self.grads, self.cfg.learning_rate);
         self.train_steps += 1;
     }
 
@@ -428,7 +429,8 @@ impl DqnAgent {
             self.policy
                 .backward(&mut self.scratch_p, &out_grad, &mut self.grads);
         }
-        self.policy.apply_grads(&mut self.grads, &mut self.opt);
+        self.policy
+            .apply_grads(&mut self.grads, self.cfg.learning_rate);
         self.train_steps += 1;
     }
 
@@ -709,6 +711,16 @@ mod tests {
         corrupt[0] ^= 0xFF;
         let mut same = DqnAgent::new(cfg2(), 1);
         assert!(same.restore_checkpoint(&mut corrupt.as_slice()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn rejects_nonpositive_learning_rate() {
+        let cfg = ResembleConfig {
+            learning_rate: 0.0,
+            ..cfg2()
+        };
+        let _ = DqnAgent::new(cfg, 1);
     }
 
     #[test]

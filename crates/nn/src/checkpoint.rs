@@ -1,13 +1,16 @@
-//! Binary model checkpoints: a deterministic, versioned serialization of
-//! an [`Mlp`] used by `resemble-serve` to park and warm-resume session
-//! controllers.
+//! Binary model checkpoints: the crate's one model format, a
+//! deterministic, versioned serialization of an [`Mlp`]. The DQN agent
+//! checkpoint embeds it, and `resemble-serve` uses that to park and
+//! warm-resume session controllers.
 //!
-//! Unlike the human-readable [`crate::io`] text format, this format is
-//! **bit-exact by construction**: every `f32` parameter is written as its
-//! IEEE-754 bit pattern in little-endian byte order, so a save → load
-//! round trip reproduces the network exactly (same Q-values to the bit)
-//! on any platform. The header is versioned and self-describing so future
-//! layout changes can be detected instead of misread.
+//! The format is **bit-exact by construction**: every `f32` parameter is
+//! written as its IEEE-754 bit pattern in little-endian byte order, so a
+//! save → load round trip reproduces the network exactly (same Q-values
+//! to the bit) on any platform. The header is versioned and
+//! self-describing so future layout changes can be detected instead of
+//! misread, and the loader bounds every declared size before it
+//! allocates, so a corrupt header is an error, not an unbounded
+//! allocation.
 //!
 //! Layout (all integers little-endian):
 //!

@@ -4,12 +4,11 @@
 //! ReLU layer of H=100 → linear Q-value output). This module implements a
 //! general small MLP with: allocation-free forward via [`Scratch`],
 //! gradient accumulation into a [`GradBuffer`] (so a batch is averaged
-//! before one optimizer step, Eq. 9–11), and flat parameter import/export
+//! before one SGD step, Eq. 9–11), and flat parameter import/export
 //! used by the DQN target-network synchronization.
 
 use crate::activation::Activation;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
 use crate::simd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -98,9 +97,6 @@ pub struct GradBuffer {
     db: Vec<Vec<f32>>,
     /// Number of accumulated samples (for averaging).
     pub samples: usize,
-    /// reusable flat parameter/gradient staging for `apply_grads`
-    params_buf: Vec<f32>,
-    grads_buf: Vec<f32>,
 }
 
 impl Mlp {
@@ -188,8 +184,6 @@ impl Mlp {
                 .collect(),
             db: self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect(),
             samples: 0,
-            params_buf: Vec::new(),
-            grads_buf: Vec::new(),
         }
     }
 
@@ -374,32 +368,24 @@ impl Mlp {
         grads.samples += batch;
     }
 
-    /// Apply the accumulated (averaged) gradients with the optimizer, then
-    /// clear the buffer.
-    pub fn apply_grads(&mut self, grads: &mut GradBuffer, opt: &mut dyn Optimizer) {
+    /// One plain SGD step (the paper's Eq. 11, the update a hardware
+    /// controller would run, with no per-parameter state): every weight
+    /// and bias moves by `θ -= lr * (g * scale)`, where `g` is its
+    /// accumulated gradient and `scale = 1 / samples` averages the batch.
+    /// Then clears the buffer. A no-op when nothing was accumulated.
+    pub fn apply_grads(&mut self, grads: &mut GradBuffer, lr: f32) {
         if grads.samples == 0 {
             return;
         }
         let scale = 1.0 / grads.samples as f32;
-        // Stage through the grad buffer's reusable flat vectors: this runs
-        // once per SGD step on the controller hot path, so it must not
-        // allocate in steady state.
-        let mut params = std::mem::take(&mut grads.params_buf);
-        let mut flat_grads = std::mem::take(&mut grads.grads_buf);
-        params.clear();
-        flat_grads.clear();
-        params.reserve(self.param_count());
-        flat_grads.reserve(self.param_count());
-        for (l, (dw, db)) in self.layers.iter().zip(grads.dw.iter().zip(&grads.db)) {
-            params.extend_from_slice(l.w.as_slice());
-            params.extend_from_slice(&l.b);
-            flat_grads.extend(dw.as_slice().iter().map(|g| g * scale));
-            flat_grads.extend(db.iter().map(|g| g * scale));
+        for (l, (dw, db)) in self.layers.iter_mut().zip(grads.dw.iter().zip(&grads.db)) {
+            for (p, g) in l.w.as_mut_slice().iter_mut().zip(dw.as_slice()) {
+                *p -= lr * (g * scale);
+            }
+            for (p, g) in l.b.iter_mut().zip(db) {
+                *p -= lr * (g * scale);
+            }
         }
-        opt.step(&mut params, &flat_grads);
-        self.load_flat(&params);
-        grads.params_buf = params;
-        grads.grads_buf = flat_grads;
         grads.clear();
     }
 
@@ -475,7 +461,6 @@ impl GradBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Sgd};
 
     #[test]
     fn forward_shapes_and_determinism() {
@@ -537,7 +522,6 @@ mod tests {
     #[test]
     fn learns_xor() {
         let mut net = Mlp::new(&[2, 8, 1], Activation::Tanh, 3);
-        let mut opt = Adam::new(0.02);
         let data = [
             ([0.0f32, 0.0], 0.0f32),
             ([0.0, 1.0], 1.0),
@@ -551,7 +535,7 @@ mod tests {
                 let y = net.forward(x, &mut scratch)[0];
                 net.backward(&mut scratch, &[y - t], &mut grads);
             }
-            net.apply_grads(&mut grads, &mut opt);
+            net.apply_grads(&mut grads, 0.5);
         }
         for (x, t) in &data {
             let y = net.predict(x)[0];
@@ -572,7 +556,7 @@ mod tests {
                 let y = net.forward(&x, &mut scratch)[0];
                 net.backward(&mut scratch, &[y - 1.0], &mut grads);
             }
-            net.apply_grads(&mut grads, &mut Sgd::new(0.1));
+            net.apply_grads(&mut grads, 0.1);
             net.flat_params()
         };
         let one = run(1);
@@ -709,7 +693,7 @@ mod tests {
                 let y = net.forward(xs.row(b), &mut s)[1];
                 net.backward(&mut s, &[0.0, y - 0.5, 0.0], &mut g);
             }
-            net.apply_grads(&mut g, &mut Sgd::new(0.1));
+            net.apply_grads(&mut g, 0.1);
             net.flat_params()
         };
         let step_batch = {
@@ -722,7 +706,7 @@ mod tests {
                 *og.get_mut(b, 1) = out.get(b, 1) - 0.5;
             }
             net.backward_batch(&mut bs, &og, &mut g);
-            net.apply_grads(&mut g, &mut Sgd::new(0.1));
+            net.apply_grads(&mut g, 0.1);
             net.flat_params()
         };
         let bits = |p: &[f32]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

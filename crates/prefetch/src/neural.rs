@@ -13,7 +13,7 @@
 
 use crate::bounded::BoundedMap;
 use crate::traits::{PredictionKind, Prefetcher};
-use resemble_nn::{Activation, GradBuffer, Mlp, Scratch, Sgd};
+use resemble_nn::{Activation, GradBuffer, Mlp, Scratch};
 use resemble_trace::record::{block_addr, block_of};
 use resemble_trace::MemAccess;
 
@@ -48,7 +48,8 @@ pub struct NeuralTemporalPrefetcher {
     net: Mlp,
     scratch: Scratch,
     grads: GradBuffer,
-    opt: Sgd,
+    /// SGD learning rate (positive)
+    lr: f32,
     tick: u32,
     train_interval: u32,
     since_train: u32,
@@ -75,7 +76,8 @@ impl NeuralTemporalPrefetcher {
         Self::with_params(seed, 1 << 18, 32, 0.05, 8, 2)
     }
 
-    /// Parameterized constructor.
+    /// Parameterized constructor. Panics unless `lr` is positive and
+    /// `degree` is at least 1.
     pub fn with_params(
         seed: u64,
         table_entries: usize,
@@ -85,6 +87,7 @@ impl NeuralTemporalPrefetcher {
         degree: usize,
     ) -> Self {
         assert!(degree >= 1);
+        assert!(lr > 0.0, "learning rate must be positive");
         let net = Mlp::new(&[IN_DIM, hidden, SLOTS], Activation::Relu, seed);
         let scratch = net.make_scratch();
         let grads = net.make_grad_buffer();
@@ -95,7 +98,7 @@ impl NeuralTemporalPrefetcher {
             net,
             scratch,
             grads,
-            opt: Sgd::new(lr),
+            lr,
             tick: 0,
             train_interval,
             since_train: 0,
@@ -171,7 +174,7 @@ impl NeuralTemporalPrefetcher {
         self.net.backward(&mut self.scratch, &grad, &mut self.grads);
         self.since_train += 1;
         if self.since_train >= self.train_interval {
-            self.net.apply_grads(&mut self.grads, &mut self.opt);
+            self.net.apply_grads(&mut self.grads, self.lr);
             self.since_train = 0;
         }
     }
@@ -376,6 +379,12 @@ mod tests {
             digest, 0x04ea_8d51_a596_4708,
             "scorer digest {digest:#018x} moved from its pin"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn rejects_nonpositive_learning_rate() {
+        let _ = NeuralTemporalPrefetcher::with_params(0, 64, 4, 0.0, 8, 1);
     }
 
     #[test]
