@@ -82,33 +82,33 @@
 //!
 //! # VNNI dot-product forms
 //!
-//! On VNNI-capable hosts the int8 GEMMs upgrade themselves within their
-//! tier — the [`KernelBackend`] stays `Avx512`/`Avx2`, [`capabilities`]
-//! picks the instruction form:
+//! On hosts with AVX-512 VNNI the `Avx512` tier's int8 GEMMs use the
+//! EVEX dot-product instructions; the [`KernelBackend`] stays `Avx512`
+//! and the `avx512_vnni` bit of [`capabilities`] picks the form:
 //!
-//! - `avx512_vnni` (EVEX): [`gemm_i8_i32`] uses `vpdpbusd` — one fused
-//!   u8×i8 dot per 64 bytes, made signed-exact by the classic offset
-//!   trick (`x + 128` via sign-bit XOR, then subtract `128·Σw`, with the
-//!   correction's `Σw` recovered from a `vpsadbw` running sum). The
-//!   accumulator lanes may wrap in i32, but all arithmetic is mod 2³²
-//!   and the true dot is bounded by the wrapper's `k ≤ 130_000` assert,
-//!   so the corrected result is the exact i32 — the same exactness
-//!   argument as above, extended to modular form. [`gemm_i8p_lanes`]
-//!   uses `vpdpwssd`, which fuses the `madd`+`add` pair-sum step into
-//!   one instruction with identical i32 results.
-//! - `avx_vnni` (VEX, 256-bit): the same `vpdpwssd` fusion at AVX2
-//!   width (`_mm256_dpwssd_avx_epi32`) for hosts with VNNI but no
-//!   AVX-512 state.
+//! - [`gemm_i8_i32`] uses `vpdpbusd` — one fused u8×i8 dot per 64 bytes,
+//!   made signed-exact by the classic offset trick (`x + 128` via
+//!   sign-bit XOR, then subtract `128·Σw`, with the correction's `Σw`
+//!   recovered from a `vpsadbw` running sum). The accumulator lanes may
+//!   wrap in i32, but all arithmetic is mod 2³² and the true dot is
+//!   bounded by the wrapper's `k ≤ 130_000` assert, so the corrected
+//!   result is the exact i32 — the same exactness argument as above,
+//!   extended to modular form.
+//! - [`gemm_i8p_lanes`] uses `vpdpwssd`, which fuses the `madd`+`add`
+//!   pair-sum step into one instruction with identical i32 results.
 //!
 //! Because every form computes the identical exact i32s, VNNI needs no
-//! new byte-equality argument — the existing int8 sweeps pin it.
+//! new byte-equality argument — the existing int8 sweeps pin it. The
+//! `Avx2` tier has no VNNI form: the 256-bit VEX `vpdpwssd` forms timed
+//! no faster than its `pmaddwd` forms (EXPERIMENTS.md).
 //!
 //! [`capabilities`] reports the feature bits backing this selection
-//! (`avx2`, `avx512f`, `avx512bw`, `avx512-vnni`, `avx-vnni`); the
-//! `Avx512` tier requires `avx512f` *and* `avx512bw` (byte/word ops in
-//! the int8 kernels), which every AVX-512 server core since Skylake-SP
-//! provides, plus `avx2` for the f32 kernels it shares with the `Avx2`
-//! tier.
+//! (`avx2`, `avx512f`, `avx512bw`, `avx512-vnni`), read from the
+//! standard library's `is_x86_feature_detected!`, the same detector the
+//! tiers' availability checks use; the `Avx512` tier requires `avx512f`
+//! *and* `avx512bw` (byte/word ops in the int8 kernels), which every
+//! AVX-512 server core since Skylake-SP provides, plus `avx2` for the
+//! f32 kernels it shares with the `Avx2` tier.
 //!
 //! The `simd-outside-kernel` lint rule keeps all `std::arch` usage inside
 //! this file; add new kernels here (see CONTRIBUTING.md).
@@ -251,17 +251,17 @@ pub fn dispatched() -> KernelBackend {
 
 /// CPU feature bits backing kernel-lane selection, detected once per
 /// process. The `Avx512` tier gates on `avx2 && avx512f && avx512bw`;
-/// within a tier the int8 GEMMs pick their VNNI instruction form from
-/// `avx512_vnni`/`avx_vnni` (see the module docs). Telemetry and
-/// benchmark reports echo [`CpuCaps::summary`] so skipped metrics can
-/// name what the host lacks.
+/// within it the int8 GEMMs pick their VNNI instruction form from
+/// `avx512_vnni` (see the module docs). Telemetry and benchmark reports
+/// echo [`CpuCaps::summary`] so skipped metrics can name what the host
+/// lacks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuCaps {
     /// 256-bit integer/float SIMD.
     pub avx2: bool,
-    /// AVX-512 foundation, including the OS having enabled zmm state
-    /// (XCR0 opmask/zmm bits) — false if the CPU has it but the OS
-    /// doesn't save the registers.
+    /// AVX-512 foundation, including the OS having enabled zmm state —
+    /// false if the CPU has it but the OS doesn't save the registers
+    /// (`is_x86_feature_detected!` checks both).
     pub avx512f: bool,
     /// AVX-512 byte/word instructions — required alongside `avx512f` for
     /// the `Avx512` tier's int8 kernels (sign-extends, `vpsadbw`).
@@ -269,9 +269,6 @@ pub struct CpuCaps {
     /// AVX-512 VNNI int8 dot-product instructions (`vpdpbusd`/`vpdpwssd`
     /// in EVEX form); implies usable AVX-512 state.
     pub avx512_vnni: bool,
-    /// AVX-VNNI: the VEX-encoded (256-bit) dot-product subset, for CPUs
-    /// with VNNI but without full AVX-512.
-    pub avx_vnni: bool,
 }
 
 impl CpuCaps {
@@ -292,9 +289,6 @@ impl CpuCaps {
         if self.avx512_vnni {
             names.push("avx512-vnni");
         }
-        if self.avx_vnni {
-            names.push("avx-vnni");
-        }
         if names.is_empty() {
             "none".to_owned()
         } else {
@@ -311,58 +305,11 @@ pub fn capabilities() -> CpuCaps {
 
 #[cfg(target_arch = "x86_64")]
 fn detect_caps() -> CpuCaps {
-    use core::arch::x86_64::{__cpuid, __cpuid_count, _xgetbv};
-
-    /// `xgetbv(0)` reads XCR0, the OS-enabled extended-state mask.
-    ///
-    /// SAFETY: caller only invokes this after CPUID leaf 1 ECX reports
-    /// both XSAVE (bit 26) and OSXSAVE (bit 27) — OSXSAVE set means the
-    /// OS enabled CR4.OSXSAVE, which architecturally makes XGETBV(0)
-    /// legal.
-    #[target_feature(enable = "xsave")]
-    unsafe fn xcr0() -> u64 {
-        // SAFETY: target_feature-only unsafety; the caller contract above
-        // guarantees the instruction is enabled.
-        unsafe { _xgetbv(0) }
-    }
-
-    // CPUID leaf 0 is valid on every x86-64 CPU (the ISA guarantees the
-    // instruction, leaf 0 reports the max leaf) and the intrinsic is safe
-    // on this target; leaf 1 predates the 64-bit ISA.
-    let max_leaf = __cpuid(0).eax;
-    let leaf1 = __cpuid(1);
-    let osxsave = leaf1.ecx & (1 << 26) != 0 && leaf1.ecx & (1 << 27) != 0;
-    // SAFETY: xcr0() is guarded on XSAVE+OSXSAVE per its contract.
-    let xcr0 = if osxsave { unsafe { xcr0() } } else { 0 };
-    // AVX needs xmm+ymm state (XCR0 bits 1-2); AVX-512 additionally needs
-    // opmask+zmm state (bits 5-7).
-    let os_avx = xcr0 & 0x6 == 0x6;
-    let os_avx512 = os_avx && xcr0 & 0xe0 == 0xe0;
-
-    let (l7_0, l7_max_sub) = if max_leaf >= 7 {
-        // Guarded on max_leaf >= 7, so leaf 7 subleaf 0 is valid.
-        let r = __cpuid_count(7, 0);
-        (Some(r), r.eax)
-    } else {
-        (None, 0)
-    };
-    let l7_1 = if max_leaf >= 7 && l7_max_sub >= 1 {
-        // Guarded on leaf 7 existing and its EAX (max subleaf) covering
-        // subleaf 1.
-        Some(__cpuid_count(7, 1))
-    } else {
-        None
-    };
-
-    let ebx7 = l7_0.map_or(0, |r| r.ebx);
-    let ecx7 = l7_0.map_or(0, |r| r.ecx);
-    let eax7_1 = l7_1.map_or(0, |r| r.eax);
     CpuCaps {
         avx2: std::arch::is_x86_feature_detected!("avx2"),
-        avx512f: os_avx512 && ebx7 & (1 << 16) != 0,
-        avx512bw: os_avx512 && ebx7 & (1 << 30) != 0,
-        avx512_vnni: os_avx512 && ecx7 & (1 << 11) != 0,
-        avx_vnni: os_avx && eax7_1 & (1 << 4) != 0,
+        avx512f: std::arch::is_x86_feature_detected!("avx512f"),
+        avx512bw: std::arch::is_x86_feature_detected!("avx512bw"),
+        avx512_vnni: std::arch::is_x86_feature_detected!("avx512vnni"),
     }
 }
 
@@ -555,16 +502,9 @@ pub(crate) fn gemm_i8_i32(be: KernelBackend, acc: &mut [i32], x: &[i8], w: &[i8]
         },
         // SAFETY: `Avx2` only reaches the wrappers after runtime
         // detection (module invariant — see `KernelBackend`), so the
-        // target_feature fn's CPU requirement holds; the VEX-VNNI form
-        // additionally gates on the detected `avx_vnni` capability bit.
+        // target_feature fn's CPU requirement holds.
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe {
-            if capabilities().avx_vnni {
-                i8x86::avxvnni_gemm_i8_i32(acc, x, w, k_dim)
-            } else {
-                i8x86::avx2_gemm_i8_i32(acc, x, w, k_dim)
-            }
-        },
+        KernelBackend::Avx2 => unsafe { i8x86::avx2_gemm_i8_i32(acc, x, w, k_dim) },
         _ => scalar::gemm_i8_i32(acc, x, w, k_dim),
     }
 }
@@ -618,16 +558,9 @@ pub(crate) fn gemm_i8p_lanes(
         },
         // SAFETY: `Avx2` only reaches the wrappers after runtime
         // detection (module invariant — see `KernelBackend`), so the
-        // target_feature fn's CPU requirement holds; the VEX-VNNI form
-        // additionally gates on the detected `avx_vnni` capability bit.
+        // target_feature fn's CPU requirement holds.
         #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe {
-            if capabilities().avx_vnni {
-                i8x86::avxvnni_gemm_i8p_lanes(acc, xpairs, wt, fan_out)
-            } else {
-                i8x86::avx2_gemm_i8p_lanes(acc, xpairs, wt, fan_out)
-            }
-        },
+        KernelBackend::Avx2 => unsafe { i8x86::avx2_gemm_i8p_lanes(acc, xpairs, wt, fan_out) },
         _ => scalar::gemm_i8p_lanes(acc, xpairs, wt, fan_out),
     }
 }
@@ -1034,8 +967,8 @@ fn lanes_tail_i8p(tail: &mut [i32], xpairs: &[i32], wt: &[i16], fan_out: usize, 
 /// exact because i8-range products are ≤ 16129 and a pair sum ≤ 32258
 /// can't overflow the *i32* madd output (i16 saturation inside madd only
 /// occurs for both inputs = -32768, unreachable from i8). The AVX-512
-/// lane doubles that to 32 bytes per `madd`; on VNNI hosts the dot
-/// collapses further into `vpdpbusd`/`vpdpwssd` forms (see the module
+/// lane doubles that to 32 bytes per `madd`; on AVX-512 VNNI hosts the
+/// dot collapses further into `vpdpbusd`/`vpdpwssd` forms (see the module
 /// docs for the offset-corrected exactness argument).
 #[cfg(target_arch = "x86_64")]
 mod i8x86 {
@@ -1164,38 +1097,6 @@ mod i8x86 {
         sum
     }
 
-    /// Exact i32 dot product, AVX-VNNI (VEX) lane: the AVX2 shape with
-    /// `vpdpwssd` fusing the `madd`+`add` pair into one instruction —
-    /// identical exact i32 lane sums, one fewer op per 16 bytes.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher after runtime detection of AVX2 and the
-    // `avx_vnni` capability bit; pointer offsets stay below the
-    // `i + 16 <= n` slice bound.
-    #[target_feature(enable = "avx2,avxvnni")]
-    unsafe fn avxvnni_dot_i8(x: &[i8], w: &[i8]) -> i32 {
-        let n = x.len().min(w.len());
-        let mut accv = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 16 <= n {
-            let xv = _mm_loadu_si128(x.as_ptr().add(i).cast());
-            let wv = _mm_loadu_si128(w.as_ptr().add(i).cast());
-            let xw = _mm256_cvtepi8_epi16(xv);
-            let ww = _mm256_cvtepi8_epi16(wv);
-            accv = _mm256_dpwssd_avx_epi32(accv, xw, ww);
-            i += 16;
-        }
-        let lo = _mm256_castsi256_si128(accv);
-        let hi = _mm256_extracti128_si256::<1>(accv);
-        let s4 = _mm_add_epi32(lo, hi);
-        let s2 = _mm_add_epi32(s4, _mm_unpackhi_epi64(s4, s4));
-        let s1 = _mm_add_epi32(s2, _mm_shuffle_epi32::<1>(s2));
-        let mut sum = _mm_cvtsi128_si32(s1);
-        for (&xv, &wv) in x[i..n].iter().zip(&w[i..n]) {
-            sum += i32::from(xv) * i32::from(wv);
-        }
-        sum
-    }
-
     // SAFETY: target_feature-only unsafety — reachable solely via the
     // `gemm_i8_i32` dispatcher after runtime detection of
     // avx512f+avx512bw.
@@ -1229,26 +1130,6 @@ mod i8x86 {
         for xrow in x.chunks_exact(k_dim) {
             for wrow in w.chunks_exact(k_dim) {
                 let s = avx512vnni_dot_i8(xrow, wrow);
-                if let Some(slot) = out.next() {
-                    *slot = s;
-                }
-            }
-        }
-    }
-
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8_i32` dispatcher after runtime detection of AVX2 and the
-    // `avx_vnni` capability bit.
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn avxvnni_gemm_i8_i32(acc: &mut [i32], x: &[i8], w: &[i8], k_dim: usize) {
-        if k_dim == 0 {
-            acc.fill(0);
-            return;
-        }
-        let mut out = acc.iter_mut();
-        for xrow in x.chunks_exact(k_dim) {
-            for wrow in w.chunks_exact(k_dim) {
-                let s = avxvnni_dot_i8(xrow, wrow);
                 if let Some(slot) = out.next() {
                     *slot = s;
                 }
@@ -1337,33 +1218,6 @@ mod i8x86 {
             }
             _mm512_storeu_si512(acc.as_mut_ptr().add(r).cast(), accv);
             r += 16;
-        }
-        super::lanes_tail_i8p(&mut acc[r..], xpairs, wt, fan_out, r);
-    }
-
-    /// Pair-interleaved matvec, AVX-VNNI (VEX) lane: the AVX2 structure
-    /// with the fused `vpdpwssd` accumulate.
-    // SAFETY: target_feature-only unsafety — reachable solely via the
-    // `gemm_i8p_lanes` dispatcher after runtime detection of AVX2 and
-    // the `avx_vnni` capability bit; the wrapper's length asserts keep
-    // every offset in bounds.
-    #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn avxvnni_gemm_i8p_lanes(
-        acc: &mut [i32],
-        xpairs: &[i32],
-        wt: &[i16],
-        fan_out: usize,
-    ) {
-        let mut r = 0usize;
-        while r + 8 <= fan_out {
-            let mut accv = _mm256_setzero_si256();
-            for (p, &xp) in xpairs.iter().enumerate() {
-                let xv = _mm256_set1_epi32(xp);
-                let wv = _mm256_loadu_si256(wt.as_ptr().add((p * fan_out + r) * 2).cast());
-                accv = _mm256_dpwssd_avx_epi32(accv, xv, wv);
-            }
-            _mm256_storeu_si256(acc.as_mut_ptr().add(r).cast(), accv);
-            r += 8;
         }
         super::lanes_tail_i8p(&mut acc[r..], xpairs, wt, fan_out, r);
     }
@@ -1836,7 +1690,7 @@ mod tests {
         }
     }
 
-    /// The backend dispatchers pick the VNNI instruction form whenever
+    /// The `Avx512` dispatchers pick the VNNI instruction form whenever
     /// the host has it, which would leave the plain madd forms untested
     /// on VNNI hosts (and vice versa). Pin every compiled-in x86 int8
     /// form directly against scalar, gated on its own ISA bits.
@@ -1849,11 +1703,6 @@ mod tests {
         let avx512 = KernelBackend::Avx512.is_available();
         let gemms: &[(&str, bool, GemmFn)] = &[
             ("avx2", caps.avx2, i8x86::avx2_gemm_i8_i32),
-            (
-                "avx-vnni",
-                caps.avx2 && caps.avx_vnni,
-                i8x86::avxvnni_gemm_i8_i32,
-            ),
             ("avx512", avx512, i8x86::avx512_gemm_i8_i32),
             (
                 "avx512-vnni",
@@ -1878,11 +1727,6 @@ mod tests {
         }
         let lanes: &[(&str, bool, LanesFn)] = &[
             ("avx2", caps.avx2, i8x86::avx2_gemm_i8p_lanes),
-            (
-                "avx-vnni",
-                caps.avx2 && caps.avx_vnni,
-                i8x86::avxvnni_gemm_i8p_lanes,
-            ),
             ("avx512", avx512, i8x86::avx512_gemm_i8p_lanes),
             (
                 "avx512-vnni",
