@@ -204,116 +204,6 @@ impl Prefetcher for SbpE {
     }
 }
 
-/// Always selects one fixed member (per-member upper/lower reference).
-pub struct StaticSelect {
-    bank: PrefetcherBank,
-    member: usize,
-    obs_buf: Vec<Option<u64>>,
-}
-
-impl StaticSelect {
-    /// Select member `member` of `bank` forever.
-    pub fn new(bank: PrefetcherBank, member: usize) -> Self {
-        assert!(member < bank.len());
-        Self {
-            bank,
-            member,
-            obs_buf: Vec::new(),
-        }
-    }
-}
-
-impl Prefetcher for StaticSelect {
-    fn name(&self) -> &'static str {
-        "static_select"
-    }
-
-    fn kind(&self) -> PredictionKind {
-        PredictionKind::Temporal
-    }
-
-    fn on_access(&mut self, access: &MemAccess, hit: bool, out: &mut Vec<u64>) {
-        self.obs_buf.clear();
-        self.obs_buf
-            .extend_from_slice(self.bank.observe(access, hit));
-        if self.obs_buf[self.member].is_some() {
-            out.extend_from_slice(self.bank.suggestions(self.member));
-        }
-    }
-
-    fn on_prefetch_fill(&mut self, addr: u64) {
-        self.bank.on_prefetch_fill(addr);
-    }
-
-    fn on_demand_fill(&mut self, addr: u64) {
-        self.bank.on_demand_fill(addr);
-    }
-
-    fn budget_bytes(&self) -> usize {
-        self.bank.budget_bytes()
-    }
-
-    fn reset(&mut self) {
-        self.bank.reset();
-    }
-}
-
-/// Round-robin selection (a deliberately naive ensemble reference).
-pub struct RoundRobinSelect {
-    bank: PrefetcherBank,
-    next: usize,
-    obs_buf: Vec<Option<u64>>,
-}
-
-impl RoundRobinSelect {
-    /// Rotate through the bank's members, one per access.
-    pub fn new(bank: PrefetcherBank) -> Self {
-        Self {
-            bank,
-            next: 0,
-            obs_buf: Vec::new(),
-        }
-    }
-}
-
-impl Prefetcher for RoundRobinSelect {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn kind(&self) -> PredictionKind {
-        PredictionKind::Temporal
-    }
-
-    fn on_access(&mut self, access: &MemAccess, hit: bool, out: &mut Vec<u64>) {
-        self.obs_buf.clear();
-        self.obs_buf
-            .extend_from_slice(self.bank.observe(access, hit));
-        let m = self.next;
-        self.next = (self.next + 1) % self.bank.len();
-        if self.obs_buf[m].is_some() {
-            out.extend_from_slice(self.bank.suggestions(m));
-        }
-    }
-
-    fn on_prefetch_fill(&mut self, addr: u64) {
-        self.bank.on_prefetch_fill(addr);
-    }
-
-    fn on_demand_fill(&mut self, addr: u64) {
-        self.bank.on_demand_fill(addr);
-    }
-
-    fn budget_bytes(&self) -> usize {
-        self.bank.budget_bytes()
-    }
-
-    fn reset(&mut self) {
-        self.bank.reset();
-        self.next = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,24 +294,5 @@ mod tests {
             }
         }
         assert!(lag > 10, "expected response lag, lag={lag}");
-    }
-
-    #[test]
-    fn static_and_round_robin_select_expected_members() {
-        let bank = PrefetcherBank::new(vec![Box::new(NextLine::new(1)), Box::new(Junk)]);
-        let mut st = StaticSelect::new(bank, 0);
-        let a = MemAccess::load(0, 0, 0x1000);
-        let mut out = Vec::new();
-        st.on_access(&a, false, &mut out);
-        assert_eq!(out, vec![0x1040]);
-
-        let bank = PrefetcherBank::new(vec![Box::new(NextLine::new(1)), Box::new(Junk)]);
-        let mut rr = RoundRobinSelect::new(bank);
-        out.clear();
-        rr.on_access(&a, false, &mut out);
-        assert_eq!(out, vec![0x1040]); // member 0 first
-        out.clear();
-        rr.on_access(&a, false, &mut out);
-        assert_eq!(out, vec![0x1000 ^ 0x7777_0000_0000]); // member 1 next
     }
 }

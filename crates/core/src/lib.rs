@@ -39,7 +39,7 @@ pub mod preprocess;
 pub mod replay;
 
 pub use agent::{Datapath, DqnAgent, TabularAgent};
-pub use baselines::{RoundRobinSelect, SbpE, StaticSelect};
+pub use baselines::SbpE;
 pub use config::ResembleConfig;
 pub use ensemble::{EnsembleStats, ResembleMlp, ResembleTabular};
 pub use oracle::{oracle_selection, OracleReport};

@@ -1,8 +1,7 @@
 //! Combinators that mix several [`TraceSource`]s into one trace.
 //!
 //! Real applications interleave pattern classes (the paper's motivating
-//! observation): `InterleavedGen` round-robins across sources at a fixed
-//! granularity, `PhasedGen` switches sources in long phases (program
+//! observation): `PhasedGen` switches sources in long phases (program
 //! phases, as SimPoint would expose), and `ProbMixGen` samples a source per
 //! access with fixed probabilities.
 
@@ -10,60 +9,6 @@ use super::TraceSource;
 use crate::record::MemAccess;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Round-robin interleave: take `burst` accesses from each source in turn.
-///
-/// Instruction ids are re-sequenced so the merged trace has a single
-/// monotone instruction stream.
-pub struct InterleavedGen {
-    sources: Vec<Box<dyn TraceSource + Send>>,
-    burst: usize,
-    cur: usize,
-    taken: usize,
-    next_id: u64,
-    id_gap: u64,
-}
-
-impl InterleavedGen {
-    /// Interleave `sources`, taking `burst` accesses from each in turn.
-    pub fn new(sources: Vec<Box<dyn TraceSource + Send>>, burst: usize, id_gap: u64) -> Self {
-        assert!(!sources.is_empty() && burst > 0);
-        Self {
-            sources,
-            burst,
-            cur: 0,
-            taken: 0,
-            next_id: 0,
-            id_gap,
-        }
-    }
-}
-
-impl TraceSource for InterleavedGen {
-    fn next_access(&mut self) -> Option<MemAccess> {
-        let n = self.sources.len();
-        for _ in 0..n {
-            if self.taken == self.burst {
-                self.taken = 0;
-                self.cur = (self.cur + 1) % n;
-            }
-            match self.sources[self.cur].next_access() {
-                Some(mut a) => {
-                    self.taken += 1;
-                    a.instr_id = self.next_id;
-                    self.next_id += 1 + self.id_gap;
-                    return Some(a);
-                }
-                None => {
-                    // Source exhausted: skip to next.
-                    self.taken = 0;
-                    self.cur = (self.cur + 1) % n;
-                }
-            }
-        }
-        None
-    }
-}
 
 /// Phase-switching mix: run each source for `phase_len` accesses, cycling.
 pub struct PhasedGen {
@@ -184,34 +129,6 @@ mod tests {
                 .map(|(i, &a)| MemAccess::load(i as u64, 0x10, a))
                 .collect(),
         ))
-    }
-
-    #[test]
-    fn interleave_round_robins_with_burst() {
-        let mut g = InterleavedGen::new(
-            vec![fixed(&[1, 2, 3, 4]), fixed(&[101, 102, 103, 104])],
-            2,
-            0,
-        );
-        let t = g.collect_n(8);
-        let addrs: Vec<u64> = t.iter().map(|a| a.addr).collect();
-        assert_eq!(addrs, vec![1, 2, 101, 102, 3, 4, 103, 104]);
-    }
-
-    #[test]
-    fn interleave_resequences_ids() {
-        let mut g = InterleavedGen::new(vec![fixed(&[1, 2]), fixed(&[3, 4])], 1, 2);
-        let t = g.collect_n(4);
-        let ids: Vec<u64> = t.iter().map(|a| a.instr_id).collect();
-        assert_eq!(ids, vec![0, 3, 6, 9]);
-    }
-
-    #[test]
-    fn interleave_handles_exhausted_sources() {
-        let mut g = InterleavedGen::new(vec![fixed(&[1]), fixed(&[2, 3, 4])], 1, 0);
-        let t = g.collect_n(10);
-        assert_eq!(t.len(), 4);
-        assert!(g.next_access().is_none());
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod stride;
 pub mod suite;
 
 pub use graph::{CsrGraph, GraphGen, GraphKernel};
-pub use interleave::{InterleavedGen, PhasedGen, ProbMixGen};
+pub use interleave::{PhasedGen, ProbMixGen};
 pub use kernels::{Kernel, KernelGen};
 pub use pointer_chase::PointerChaseGen;
 pub use spec_like::{app_by_name, AppTrace, APP_NAMES};
