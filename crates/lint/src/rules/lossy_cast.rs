@@ -83,7 +83,7 @@ mod tests {
             assert_eq!(d.len(), 1, "{path}: {d:?}");
         }
         // Other nn files stay out of scope.
-        assert!(run("crates/nn/src/optim.rs", src).is_empty());
+        assert!(run("crates/nn/src/checkpoint.rs", src).is_empty());
     }
 
     #[test]

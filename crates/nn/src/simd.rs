@@ -99,8 +99,8 @@
 //!
 //! Because every form computes the identical exact i32s, VNNI needs no
 //! new byte-equality argument — the existing int8 sweeps pin it. The
-//! `Avx2` tier has no VNNI form: the 256-bit VEX `vpdpwssd` forms timed
-//! no faster than its `pmaddwd` forms (EXPERIMENTS.md).
+//! `Avx2` tier has no VNNI form: 256-bit VEX `vpdpwssd` forms were not
+//! reliably faster than its `pmaddwd` forms (EXPERIMENTS.md).
 //!
 //! [`capabilities`] reports the feature bits backing this selection
 //! (`avx2`, `avx512f`, `avx512bw`, `avx512-vnni`), read from the
