@@ -196,10 +196,11 @@ impl DqnAgent {
     }
 
     /// Restore state written by [`DqnAgent::save_checkpoint`] into this
-    /// agent. The checkpoint's architecture fingerprint must match this
-    /// agent's configuration; parameters are loaded in place so every
-    /// scratch buffer stays valid. Returns `InvalidData` on any mismatch
-    /// without modifying the agent.
+    /// agent. The checkpoint's architecture fingerprint, both networks'
+    /// layer sizes and hidden activation must match this agent, and the
+    /// frozen word must be one that `save_checkpoint` writes; parameters
+    /// are loaded in place so every scratch buffer stays valid. Returns
+    /// `InvalidData` on any mismatch without modifying the agent.
     pub fn restore_checkpoint<R: Read>(&mut self, r: &mut R) -> io::Result<()> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
         let mut magic = [0u8; 8];
@@ -230,11 +231,21 @@ impl DqnAgent {
         r.read_exact(&mut b8)?;
         let role_switches = u64::from_le_bytes(b8);
         r.read_exact(&mut b4)?;
-        let frozen = b4[0] != 0;
+        let frozen = match b4 {
+            [0, 0, 0, 0] => false,
+            [1, 0, 0, 0] => true,
+            _ => return Err(bad("invalid frozen flag in agent checkpoint")),
+        };
         let policy = load_mlp_binary(r)?;
         let target = load_mlp_binary(r)?;
         if policy.sizes() != self.policy.sizes() || target.sizes() != self.target.sizes() {
             return Err(bad("checkpoint network shapes do not match this agent"));
+        }
+        let act = self.policy.hidden_activation();
+        if policy.hidden_activation() != act || target.hidden_activation() != act {
+            return Err(bad(
+                "checkpoint hidden activation does not match this agent",
+            ));
         }
         self.policy.load_flat(&policy.flat_params());
         self.target.load_flat(&target.flat_params());
@@ -711,6 +722,50 @@ mod tests {
         corrupt[0] ^= 0xFF;
         let mut same = DqnAgent::new(cfg2(), 1);
         assert!(same.restore_checkpoint(&mut corrupt.as_slice()).is_err());
+    }
+
+    #[test]
+    fn checkpoint_rejects_foreign_activation_or_frozen_word_without_modifying() {
+        let trained = run_synthetic(Datapath::Batched, 300, 5);
+        let mut buf = Vec::new();
+        trained.save_checkpoint(&mut buf).expect("saves");
+        // Agent header: magic 8, version 4, dims 12, counters 24, then the
+        // frozen word; each network follows with magic 8 and version 4
+        // before its activation word.
+        let frozen_at = 8 + 4 + 12 + 24;
+        let net_len = (buf.len() - frozen_at - 4) / 2;
+        let policy_act = frozen_at + 4 + 12;
+        let target_act = policy_act + net_len;
+        assert_eq!(buf[policy_act], 1, "ReLU code");
+        assert_eq!(buf[target_act], 1, "ReLU code");
+
+        let mut foreign_act = buf.clone();
+        foreign_act[policy_act] = 3; // sigmoid
+        foreign_act[target_act] = 2; // tanh
+        let mut foreign_frozen = buf.clone();
+        foreign_frozen[frozen_at] = 0xFF;
+        let mut both = foreign_act.clone();
+        both[frozen_at] = 0xFF;
+        for bytes in [&foreign_act, &foreign_frozen, &both] {
+            let mut agent = DqnAgent::new(cfg2(), 17);
+            let (bits, step) = (agent.param_bits(), agent.step);
+            let err = agent.restore_checkpoint(&mut bytes.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(agent.param_bits(), bits, "failed restore touched the nets");
+            assert_eq!(agent.step, step);
+            assert!(!agent.frozen);
+            assert_eq!(agent.policy.hidden_activation(), Activation::Relu);
+        }
+
+        // A frozen word of exactly [1, 0, 0, 0] restores as frozen.
+        let mut frozen = buf.clone();
+        frozen[frozen_at] = 1;
+        let mut agent = DqnAgent::new(cfg2(), 17);
+        agent
+            .restore_checkpoint(&mut frozen.as_slice())
+            .expect("restores");
+        assert!(agent.frozen);
+        assert_eq!(agent.param_bits(), trained.param_bits());
     }
 
     #[test]
