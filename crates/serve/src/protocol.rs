@@ -20,6 +20,12 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Upper bound on prefetch addresses carried by one decision reply.
 pub const MAX_DECISION_ADDRS: usize = u16::MAX as usize;
 
+/// How far [`read_frame`] trusts a frame's declared length: the payload
+/// buffer grows at most this many bytes ahead of the bytes that have
+/// arrived, so a short stream that declares a [`MAX_FRAME`] frame costs
+/// 64 KiB, not 1 MiB. Frames this size or smaller are read in one call.
+pub const READ_CHUNK: usize = 64 * 1024;
+
 // Request frame types.
 const T_HELLO: u8 = 0x01;
 const T_ACCESS: u8 = 0x02;
@@ -358,24 +364,57 @@ impl Reply {
     }
 }
 
+/// Fill `buf` from `r` until it is full or the stream ends; returns the
+/// number of bytes read.
+fn fill(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+fn cut(part: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, format!("stream ended {part}"))
+}
+
 /// Read one frame into `payload`, returning its type byte, or `None` on a
-/// clean EOF at a frame boundary. `payload` is reused across calls.
+/// clean EOF at a frame boundary. A stream that ends anywhere else is an
+/// `UnexpectedEof` error naming the part that was cut. `payload` is
+/// reused across calls, and grows at most [`READ_CHUNK`] bytes ahead of
+/// the bytes that have arrived.
 pub fn read_frame(r: &mut impl Read, payload: &mut Vec<u8>) -> io::Result<Option<u8>> {
     let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
+    match fill(r, &mut len_buf)? {
+        0 => return Ok(None),
+        4 => {}
+        _ => return Err(cut("inside a frame's length prefix")),
     }
     let len = u32::from_le_bytes(len_buf) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(bad("frame length out of range"));
     }
     let mut ty = [0u8; 1];
-    r.read_exact(&mut ty)?;
+    if fill(r, &mut ty)? == 0 {
+        return Err(cut("before a frame's type byte"));
+    }
     payload.clear();
-    payload.resize(len - 1, 0);
-    r.read_exact(payload)?;
+    while payload.len() < len - 1 {
+        let start = payload.len();
+        let end = (len - 1).min(start + READ_CHUNK);
+        // Grow exactly: amortized doubling would reserve ahead of bytes
+        // that may never arrive.
+        payload.reserve_exact(end - start);
+        payload.resize(end, 0);
+        if fill(r, &mut payload[start..])? < end - start {
+            return Err(cut("inside a frame's payload"));
+        }
+    }
     Ok(Some(ty[0]))
 }
 
@@ -483,6 +522,22 @@ mod tests {
             }
         }
         assert_eq!(read_frame(&mut r, &mut payload).unwrap(), None);
+    }
+
+    #[test]
+    fn frames_larger_than_the_read_chunk_round_trip() {
+        let prefetches: Vec<u64> = (0..MAX_DECISION_ADDRS as u64).collect();
+        let reply = Reply::Decision {
+            req_id: 3,
+            prefetches,
+        };
+        let mut buf = Vec::new();
+        reply.encode_into(&mut buf);
+        assert!(buf.len() > 8 * READ_CHUNK);
+        let mut payload = Vec::new();
+        let ty = read_frame(&mut &buf[..], &mut payload).unwrap().unwrap();
+        assert!(payload.capacity() <= buf.len() + READ_CHUNK);
+        assert_eq!(Reply::decode(ty, &payload).unwrap(), reply);
     }
 
     #[test]
