@@ -256,7 +256,7 @@ fn raise_nofile_limit(target: u64) -> u64 {
     const RLIMIT_NOFILE: i32 = 7;
     // SAFETY: every call takes a pointer to a live, #[repr(C)] `RLimit`
     // local in this block, valid for the duration of the call.
-    // lint:allow(unsafe-undocumented): one isolated rlimit adjustment in a bench binary — not worth widening the [[unsafe-allowed]] file set
+    // lint:allow(unsafe-undocumented): one isolated rlimit adjustment in a bench binary — not worth widening rules::UNSAFE_ALLOWED_FILES
     unsafe {
         let mut r = RLimit { cur: 0, max: 0 };
         if getrlimit(RLIMIT_NOFILE, &mut r) != 0 {

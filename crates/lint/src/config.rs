@@ -1,50 +1,17 @@
 //! `lint.toml` loading and validation.
 //!
-//! The parser is a deliberate TOML subset — `[section]`, `[[array]]`,
-//! `key = "string"` / `key = integer`, `#` comments — which is all the
-//! checked-in config uses. Unknown syntax is a hard error so config typos
-//! cannot silently disable a rule. Validation is loud: an allowlist entry
-//! pointing at a deleted file is an error, not a stale no-op.
+//! The config pins one thing: the frozen reference engine's path and
+//! SHA-256 (`[reference-engine-frozen]`). Every rule's scope is declared
+//! once, in [`crate::rules`], and the inline `// lint:allow(rule): reason`
+//! escape is the only way to silence a rule.
+//!
+//! The parser is a deliberate TOML subset — `[section]` headers,
+//! `key = "string"` lines and `#` comments. Any key other than those two,
+//! in any section, and any other syntax is a hard error, so a typo (or a
+//! leftover `[[allow]]` entry) cannot silently change what the lint
+//! checks.
 
 use crate::diag::Diagnostic;
-use std::path::Path;
-
-/// One file-level allowlist entry.
-#[derive(Debug, Clone)]
-pub struct AllowEntry {
-    /// Rule the entry suppresses.
-    pub rule: String,
-    /// Workspace-relative path it applies to.
-    pub path: String,
-    /// Why the exemption exists (required).
-    pub reason: String,
-    /// Line in lint.toml (for diagnostics).
-    pub line: u32,
-}
-
-/// One `[[unsafe-allowed]]` entry: a file sanctioned to contain `unsafe`,
-/// with the reason it needs to.
-#[derive(Debug, Clone)]
-pub struct UnsafeAllowedEntry {
-    /// Workspace-relative path of the allowlisted file.
-    pub file: String,
-    /// Why this file legitimately holds unsafe code (required).
-    pub reason: String,
-    /// Line in lint.toml (for diagnostics).
-    pub line: u32,
-}
-
-/// One `[[thread-allowed]]` entry: a file outside the thread-owning
-/// crates sanctioned to create raw threads, with the reason it needs to.
-#[derive(Debug, Clone)]
-pub struct ThreadAllowedEntry {
-    /// Workspace-relative path of the allowlisted file.
-    pub file: String,
-    /// Why this file legitimately creates threads (required).
-    pub reason: String,
-    /// Line in lint.toml (for diagnostics).
-    pub line: u32,
-}
 
 /// Parsed `lint.toml`.
 #[derive(Debug, Default)]
@@ -53,24 +20,6 @@ pub struct LintConfig {
     pub reference_file: String,
     /// Its committed SHA-256.
     pub reference_sha256: String,
-    /// Sanctioned SIMD kernel module for `simd-outside-kernel` (optional;
-    /// documents the exemption — the rule's scope table is authoritative,
-    /// and validation flags a mismatch between the two).
-    pub simd_kernel_file: String,
-    /// Files sanctioned to contain `unsafe` (`unsafe-undocumented`;
-    /// optional like the SIMD section — the rule's scope table
-    /// `rules::UNSAFE_ALLOWED_FILES` is authoritative, and when the
-    /// section is present validation requires exact agreement in both
-    /// directions).
-    pub unsafe_allowed: Vec<UnsafeAllowedEntry>,
-    /// Files outside crates/runtime and crates/serve sanctioned to create
-    /// raw threads (`thread-outside-runtime`; optional like the unsafe
-    /// section — the rule's scope table `rules::THREAD_ALLOWED_FILES` is
-    /// authoritative, and when the section is present validation requires
-    /// exact agreement in both directions).
-    pub thread_allowed: Vec<ThreadAllowedEntry>,
-    /// File-level rule exemptions.
-    pub allows: Vec<AllowEntry>,
 }
 
 /// Strip a trailing `#` comment that is outside any string literal.
@@ -88,131 +37,52 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-/// Parse a `key = value` line; values are quoted strings or bare integers.
-fn parse_kv(line: &str) -> Option<(String, String)> {
+/// Parse a `key = "value"` line.
+fn parse_kv(line: &str) -> Option<(&str, &str)> {
     let (k, v) = line.split_once('=')?;
-    let k = k.trim().to_string();
-    let v = v.trim();
-    let v = if let Some(stripped) = v.strip_prefix('"') {
-        stripped.strip_suffix('"')?.to_string()
-    } else {
-        // Bare value: accept integers only.
-        if !v.chars().all(|c| c.is_ascii_digit()) || v.is_empty() {
-            return None;
-        }
-        v.to_string()
-    };
-    Some((k, v))
+    let v = v.trim().strip_prefix('"')?.strip_suffix('"')?;
+    Some((k.trim(), v))
 }
 
 impl LintConfig {
-    /// Parse config text. Returns the config or a list of parse errors
-    /// (attributed to `path` for display).
+    /// Parse config text. Returns the config or a list of errors
+    /// (attributed to `path` for display): unparseable lines, unknown
+    /// keys or sections, and a missing reference file or hash.
     pub fn parse(text: &str, path: &str) -> Result<LintConfig, Vec<Diagnostic>> {
         let mut cfg = LintConfig::default();
         let mut errors = Vec::new();
-        let mut section = String::new();
+        let mut section = "";
         for (idx, raw) in text.lines().enumerate() {
             let line_no = idx as u32 + 1;
             let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
-            if let Some(name) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                section = format!("[[{}]]", name.trim());
-                if name.trim() == "allow" {
-                    cfg.allows.push(AllowEntry {
-                        rule: String::new(),
-                        path: String::new(),
-                        reason: String::new(),
-                        line: line_no,
-                    });
-                } else if name.trim() == "unsafe-allowed" {
-                    cfg.unsafe_allowed.push(UnsafeAllowedEntry {
-                        file: String::new(),
-                        reason: String::new(),
-                        line: line_no,
-                    });
-                } else if name.trim() == "thread-allowed" {
-                    cfg.thread_allowed.push(ThreadAllowedEntry {
-                        file: String::new(),
-                        reason: String::new(),
-                        line: line_no,
-                    });
+            if line.starts_with('[') && line.ends_with(']') {
+                section = line;
+                continue;
+            }
+            let error = match (section, parse_kv(line)) {
+                ("[reference-engine-frozen]", Some(("file", v))) => {
+                    cfg.reference_file = v.to_string();
+                    continue;
                 }
-                continue;
-            }
-            if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                section = name.trim().to_string();
-                continue;
-            }
-            let Some((k, v)) = parse_kv(line) else {
-                errors.push(Diagnostic::error(
-                    "lint-config",
-                    path,
-                    line_no,
-                    format!("unparseable line: `{}`", raw.trim()),
-                ));
-                continue;
+                ("[reference-engine-frozen]", Some(("sha256", v))) => {
+                    cfg.reference_sha256 = v.to_string();
+                    continue;
+                }
+                (sec, Some((key, _))) => format!("unknown key `{key}` in section `{sec}`"),
+                (_, None) => format!("unparseable line: `{}`", raw.trim()),
             };
-            match (section.as_str(), k.as_str()) {
-                ("reference-engine-frozen", "file") => cfg.reference_file = v,
-                ("reference-engine-frozen", "sha256") => cfg.reference_sha256 = v,
-                ("simd-outside-kernel", "file") => cfg.simd_kernel_file = v,
-                ("[[allow]]", _) => {
-                    let Some(entry) = cfg.allows.last_mut() else {
-                        continue;
-                    };
-                    match k.as_str() {
-                        "rule" => entry.rule = v,
-                        "path" => entry.path = v,
-                        "reason" => entry.reason = v,
-                        other => errors.push(Diagnostic::error(
-                            "lint-config",
-                            path,
-                            line_no,
-                            format!("unknown [[allow]] key `{other}`"),
-                        )),
-                    }
-                }
-                ("[[unsafe-allowed]]", _) => {
-                    let Some(entry) = cfg.unsafe_allowed.last_mut() else {
-                        continue;
-                    };
-                    match k.as_str() {
-                        "file" => entry.file = v,
-                        "reason" => entry.reason = v,
-                        other => errors.push(Diagnostic::error(
-                            "lint-config",
-                            path,
-                            line_no,
-                            format!("unknown [[unsafe-allowed]] key `{other}`"),
-                        )),
-                    }
-                }
-                ("[[thread-allowed]]", _) => {
-                    let Some(entry) = cfg.thread_allowed.last_mut() else {
-                        continue;
-                    };
-                    match k.as_str() {
-                        "file" => entry.file = v,
-                        "reason" => entry.reason = v,
-                        other => errors.push(Diagnostic::error(
-                            "lint-config",
-                            path,
-                            line_no,
-                            format!("unknown [[thread-allowed]] key `{other}`"),
-                        )),
-                    }
-                }
-                ("", "schema_version") => {}
-                (sec, key) => errors.push(Diagnostic::error(
-                    "lint-config",
-                    path,
-                    line_no,
-                    format!("unknown key `{key}` in section `{sec}`"),
-                )),
-            }
+            errors.push(Diagnostic::error("lint-config", path, line_no, error));
+        }
+        if cfg.reference_file.is_empty() || cfg.reference_sha256.is_empty() {
+            errors.push(Diagnostic::error(
+                "lint-config",
+                path,
+                0,
+                "missing [reference-engine-frozen] file/sha256".to_string(),
+            ));
         }
         if errors.is_empty() {
             Ok(cfg)
@@ -220,366 +90,27 @@ impl LintConfig {
             Err(errors)
         }
     }
-
-    /// Validate the config against the workspace: allowlist entries must
-    /// be complete and point at files that still exist, and the frozen
-    /// reference file must be configured. Failures are loud errors so a
-    /// refactor cannot leave dead exemptions behind.
-    pub fn validate(&self, root: &Path, config_path: &str) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if self.reference_file.is_empty() || self.reference_sha256.is_empty() {
-            out.push(Diagnostic::error(
-                "lint-config",
-                config_path,
-                0,
-                "missing [reference-engine-frozen] file/sha256".to_string(),
-            ));
-        }
-        if !self.simd_kernel_file.is_empty() {
-            if !root.join(&self.simd_kernel_file).is_file() {
-                out.push(Diagnostic::error(
-                    "lint-config",
-                    config_path,
-                    0,
-                    format!(
-                        "[simd-outside-kernel] file `{}` does not exist",
-                        self.simd_kernel_file
-                    ),
-                ));
-            }
-            if !crate::rules::SIMD_KERNEL_FILES.contains(&self.simd_kernel_file.as_str()) {
-                out.push(Diagnostic::error(
-                    "lint-config",
-                    config_path,
-                    0,
-                    format!(
-                        "[simd-outside-kernel] file `{}` disagrees with the rule's scope \
-                         table (rules::SIMD_KERNEL_FILES) — update both in the same change",
-                        self.simd_kernel_file
-                    ),
-                ));
-            }
-        }
-        // [[unsafe-allowed]] is optional as a whole (scratch workspaces in
-        // the driver tests omit it), but once present it must agree with
-        // the rule's scope table exactly — in both directions — so the
-        // documented allowlist and the enforced one cannot drift.
-        if !self.unsafe_allowed.is_empty() {
-            for e in &self.unsafe_allowed {
-                if e.file.is_empty() || e.reason.is_empty() {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        "[[unsafe-allowed]] entries need file and reason".to_string(),
-                    ));
-                    continue;
-                }
-                if !root.join(&e.file).is_file() {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        format!(
-                            "stale [[unsafe-allowed]] entry: `{}` does not exist — \
-                             remove the entry or fix the path",
-                            e.file
-                        ),
-                    ));
-                }
-                if !crate::rules::UNSAFE_ALLOWED_FILES.contains(&e.file.as_str()) {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        format!(
-                            "[[unsafe-allowed]] entry `{}` disagrees with the rule's scope \
-                             table (rules::UNSAFE_ALLOWED_FILES) — update both in the same \
-                             change",
-                            e.file
-                        ),
-                    ));
-                }
-            }
-            for f in crate::rules::UNSAFE_ALLOWED_FILES {
-                if !self.unsafe_allowed.iter().any(|e| e.file == *f) {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        0,
-                        format!(
-                            "rules::UNSAFE_ALLOWED_FILES contains `{f}` but lint.toml has \
-                             no matching [[unsafe-allowed]] entry — add one with the \
-                             reason the file needs unsafe"
-                        ),
-                    ));
-                }
-            }
-        }
-        // [[thread-allowed]] follows the same contract as
-        // [[unsafe-allowed]]: optional as a whole, but once present it
-        // must mirror rules::THREAD_ALLOWED_FILES exactly.
-        if !self.thread_allowed.is_empty() {
-            for e in &self.thread_allowed {
-                if e.file.is_empty() || e.reason.is_empty() {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        "[[thread-allowed]] entries need file and reason".to_string(),
-                    ));
-                    continue;
-                }
-                if !root.join(&e.file).is_file() {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        format!(
-                            "stale [[thread-allowed]] entry: `{}` does not exist — \
-                             remove the entry or fix the path",
-                            e.file
-                        ),
-                    ));
-                }
-                if !crate::rules::THREAD_ALLOWED_FILES.contains(&e.file.as_str()) {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        e.line,
-                        format!(
-                            "[[thread-allowed]] entry `{}` disagrees with the rule's scope \
-                             table (rules::THREAD_ALLOWED_FILES) — update both in the same \
-                             change",
-                            e.file
-                        ),
-                    ));
-                }
-            }
-            for f in crate::rules::THREAD_ALLOWED_FILES {
-                if !self.thread_allowed.iter().any(|e| e.file == *f) {
-                    out.push(Diagnostic::error(
-                        "lint-config",
-                        config_path,
-                        0,
-                        format!(
-                            "rules::THREAD_ALLOWED_FILES contains `{f}` but lint.toml has \
-                             no matching [[thread-allowed]] entry — add one with the \
-                             reason the file creates threads"
-                        ),
-                    ));
-                }
-            }
-        }
-        for a in &self.allows {
-            if a.rule.is_empty() || a.path.is_empty() || a.reason.is_empty() {
-                out.push(Diagnostic::error(
-                    "lint-config",
-                    config_path,
-                    a.line,
-                    "[[allow]] entries need rule, path, and reason".to_string(),
-                ));
-                continue;
-            }
-            if !root.join(&a.path).is_file() {
-                out.push(Diagnostic::error(
-                    "lint-config",
-                    config_path,
-                    a.line,
-                    format!(
-                        "stale allowlist entry: `{}` does not exist (rule `{}`) — \
-                         remove the entry or fix the path",
-                        a.path, a.rule
-                    ),
-                ));
-            }
-        }
-        out
-    }
-
-    /// Whether a file-level allow suppresses `rule` for `path`.
-    pub fn allows_file(&self, rule: &str, path: &str) -> bool {
-        self.allows.iter().any(|a| a.rule == rule && a.path == path)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
-    fn repo_root() -> PathBuf {
-        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .unwrap()
-            .parent()
-            .unwrap()
-            .to_path_buf()
-    }
+    const REFERENCE: &str = "[reference-engine-frozen]\n\
+                             file = \"crates/sim/src/reference.rs\"\n\
+                             sha256 = \"abc123\" # committed hash\n";
 
     #[test]
-    fn parses_reference_and_allows() {
-        let text = "schema_version = 1\n\
-                    [reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc123\" # committed hash\n\
-                    [[allow]]\n\
-                    rule = \"float-eq\"\n\
-                    path = \"crates/nn/src/matrix.rs\"\n\
-                    reason = \"exact sparsity sentinel\"\n";
-        let cfg = LintConfig::parse(text, "lint.toml").unwrap();
+    fn parses_reference() {
+        let cfg = LintConfig::parse(REFERENCE, "lint.toml").unwrap();
         assert_eq!(cfg.reference_file, "crates/sim/src/reference.rs");
         assert_eq!(cfg.reference_sha256, "abc123");
-        assert_eq!(cfg.allows.len(), 1);
-        assert!(cfg.allows_file("float-eq", "crates/nn/src/matrix.rs"));
-        assert!(!cfg.allows_file("float-eq", "crates/nn/src/mlp.rs"));
     }
 
     #[test]
-    fn simd_kernel_section_is_optional_but_checked() {
-        // Absent: fine (scratch workspaces in the driver tests omit it).
-        let base = "[reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc\"\n";
-        let cfg = LintConfig::parse(base, "lint.toml").unwrap();
-        assert!(cfg.simd_kernel_file.is_empty());
-
-        // Present and matching the rule's scope table: no findings.
-        let good = format!("{base}[simd-outside-kernel]\nfile = \"crates/nn/src/simd.rs\"\n");
-        let cfg = LintConfig::parse(&good, "lint.toml").unwrap();
-        assert!(cfg
-            .validate(&repo_root(), "lint.toml")
-            .iter()
-            .all(|d| !d.message.contains("simd-outside-kernel")));
-
-        // Present but pointing somewhere else: loud on the mismatch (and
-        // on nonexistence when the path is also stale).
-        let bad = format!("{base}[simd-outside-kernel]\nfile = \"crates/nn/src/matrix.rs\"\n");
-        let cfg = LintConfig::parse(&bad, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags.iter().any(|d| d.message.contains("disagrees")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn unsafe_allowed_section_is_optional_but_must_match_the_scope_table() {
-        let base = "[reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc\"\n";
-        // Absent: fine.
-        let cfg = LintConfig::parse(base, "lint.toml").unwrap();
-        assert!(cfg.unsafe_allowed.is_empty());
-
-        // Complete and matching: no unsafe-allowed findings.
-        let mut good = base.to_string();
-        for f in crate::rules::UNSAFE_ALLOWED_FILES {
-            good.push_str(&format!(
-                "[[unsafe-allowed]]\nfile = \"{f}\"\nreason = \"needed\"\n"
-            ));
-        }
-        let cfg = LintConfig::parse(&good, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags.iter().all(|d| !d.message.contains("unsafe-allowed")),
-            "{diags:?}"
-        );
-
-        // An entry outside the scope table disagrees loudly.
-        let bad = format!(
-            "{good}[[unsafe-allowed]]\nfile = \"crates/sim/src/engine.rs\"\nreason = \"nope\"\n"
-        );
-        let cfg = LintConfig::parse(&bad, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags.iter().any(|d| d.message.contains("disagrees")),
-            "{diags:?}"
-        );
-
-        // A partial list misses table files: loud in the other direction.
-        let partial = format!(
-            "{base}[[unsafe-allowed]]\nfile = \"crates/nn/src/simd.rs\"\nreason = \"kernels\"\n"
-        );
-        let cfg = LintConfig::parse(&partial, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("no matching [[unsafe-allowed]] entry")),
-            "{diags:?}"
-        );
-
-        // Entries without a reason are rejected.
-        let bare = format!("{base}[[unsafe-allowed]]\nfile = \"crates/nn/src/simd.rs\"\n");
-        let cfg = LintConfig::parse(&bare, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("need file and reason")),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn thread_allowed_section_is_optional_but_must_match_the_scope_table() {
-        let base = "[reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc\"\n";
-        // Absent: fine.
-        let cfg = LintConfig::parse(base, "lint.toml").unwrap();
-        assert!(cfg.thread_allowed.is_empty());
-
-        // Complete and matching: no thread-allowed findings.
-        let mut good = base.to_string();
-        for f in crate::rules::THREAD_ALLOWED_FILES {
-            good.push_str(&format!(
-                "[[thread-allowed]]\nfile = \"{f}\"\nreason = \"load driver\"\n"
-            ));
-        }
-        let cfg = LintConfig::parse(&good, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags.iter().all(|d| !d.message.contains("thread-allowed")),
-            "{diags:?}"
-        );
-
-        // An entry outside the scope table disagrees loudly.
-        let bad = format!(
-            "{good}[[thread-allowed]]\nfile = \"crates/sim/src/engine.rs\"\nreason = \"nope\"\n"
-        );
-        let cfg = LintConfig::parse(&bad, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags.iter().any(|d| d.message.contains("disagrees")),
-            "{diags:?}"
-        );
-
-        // A partial list misses table files: loud in the other direction.
-        let partial = format!(
-            "{base}[[thread-allowed]]\nfile = \"crates/bench/src/bin/serve.rs\"\n\
-             reason = \"probe client threads\"\n"
-        );
-        let cfg = LintConfig::parse(&partial, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("no matching [[thread-allowed]] entry")),
-            "{diags:?}"
-        );
-
-        // Entries without a reason are rejected.
-        let bare = format!("{base}[[thread-allowed]]\nfile = \"crates/bench/src/bin/serve.rs\"\n");
-        let cfg = LintConfig::parse(&bare, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.message.contains("need file and reason")),
-            "{diags:?}"
-        );
+    fn missing_reference_is_an_error() {
+        let err = LintConfig::parse("# empty\n", "lint.toml").unwrap_err();
+        assert!(err[0].message.contains("missing [reference-engine-frozen]"));
     }
 
     #[test]
@@ -587,35 +118,20 @@ mod tests {
         let err = LintConfig::parse("[reference-engine-frozen]\nsha512 = \"x\"\n", "lint.toml")
             .unwrap_err();
         assert!(err[0].message.contains("unknown key"));
-    }
 
-    #[test]
-    fn stale_allow_path_fails_loudly() {
-        let text = "[reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc\"\n\
-                    [[allow]]\n\
-                    rule = \"float-eq\"\n\
-                    path = \"crates/nn/src/deleted_module.rs\"\n\
-                    reason = \"left behind by a refactor\"\n";
-        let cfg = LintConfig::parse(text, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags[0].message.contains("stale allowlist entry"));
-        assert!(diags[0].message.contains("deleted_module.rs"));
-    }
-
-    #[test]
-    fn incomplete_allow_entry_is_an_error() {
-        let text = "[reference-engine-frozen]\n\
-                    file = \"crates/sim/src/reference.rs\"\n\
-                    sha256 = \"abc\"\n\
-                    [[allow]]\n\
-                    rule = \"float-eq\"\n";
-        let cfg = LintConfig::parse(text, "lint.toml").unwrap();
-        let diags = cfg.validate(&repo_root(), "lint.toml");
-        assert!(diags
-            .iter()
-            .any(|d| d.message.contains("need rule, path, and reason")));
+        // A file-level allowlist or scope-table entry is an unknown key:
+        // inline escapes silence rules, and `rules` declares every scope.
+        for leftover in [
+            "[[allow]]\nrule = \"float-eq\"\npath = \"crates/nn/src/matrix.rs\"\n",
+            "[[unsafe-allowed]]\nfile = \"crates/nn/src/align.rs\"\nreason = \"x\"\n",
+        ] {
+            let err =
+                LintConfig::parse(&format!("{REFERENCE}{leftover}"), "lint.toml").unwrap_err();
+            assert_eq!(err.len(), 2, "{err:?}");
+            assert!(
+                err.iter().all(|d| d.message.contains("unknown key")),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -17,12 +17,10 @@
 //! suppression path, so an inline escape at a cross-file diagnostic's
 //! witness line works exactly like a per-file one.
 //!
-//! Suppression happens in two places, both loud when stale:
-//! - inline `// lint:allow(rule): reason` escapes (reason required; an
-//!   escape no diagnostic hits becomes a warning);
-//! - file-level `[[allow]]` entries in `lint.toml` (entries pointing at
-//!   deleted files are errors, entries that no longer suppress anything
-//!   are warnings).
+//! The inline `// lint:allow(rule): reason` escape is the only way to
+//! silence a rule: the reason is required, and an escape no diagnostic
+//! hits becomes a warning. `lint.toml` pins only the frozen reference
+//! engine ([`config`]); each rule's scope is declared in [`rules`].
 
 pub mod config;
 pub mod diag;
@@ -105,10 +103,7 @@ pub fn lint_workspace(root: &Path) -> LintReport {
     let config_rel = "lint.toml";
     let cfg = match std::fs::read_to_string(root.join(config_rel)) {
         Ok(text) => match LintConfig::parse(&text, config_rel) {
-            Ok(cfg) => {
-                diags.extend(cfg.validate(root, config_rel));
-                cfg
-            }
+            Ok(cfg) => cfg,
             Err(errs) => {
                 diags.extend(errs);
                 LintConfig::default()
@@ -150,21 +145,13 @@ pub fn lint_workspace(root: &Path) -> LintReport {
     rules::check_workspace(&ctxs, &mut raw);
 
     // Suppression, shared by both passes: a diagnostic (wherever it came
-    // from) consults the inline escapes of the file it is anchored to,
-    // then the file-level allowlist.
+    // from) consults the inline escapes of the file it is anchored to.
     let ctx_by_path: std::collections::BTreeMap<&str, &FileCtx> =
         ctxs.iter().map(|c| (c.path.as_str(), c)).collect();
-    let mut file_allow_used = vec![false; cfg.allows.len()];
-    'diags: for d in raw {
+    for d in raw {
         if let Some(ctx) = ctx_by_path.get(d.path.as_str()) {
             if ctx.allowed(d.rule, d.line) {
                 continue; // inline escape, now marked used
-            }
-        }
-        for (idx, a) in cfg.allows.iter().enumerate() {
-            if a.rule == d.rule && a.path == d.path {
-                file_allow_used[idx] = true;
-                continue 'diags;
             }
         }
         diags.push(d);
@@ -183,22 +170,6 @@ pub fn lint_workspace(root: &Path) -> LintReport {
                     ),
                 ));
             }
-        }
-    }
-    // Same for file-level allowlist entries (existence/completeness
-    // problems were already errors in validate()).
-    for (idx, used) in file_allow_used.iter().enumerate() {
-        let a = &cfg.allows[idx];
-        if !used && !a.rule.is_empty() && !a.path.is_empty() && root.join(&a.path).is_file() {
-            diags.push(Diagnostic::warn(
-                "lint-allow",
-                config_rel,
-                a.line,
-                format!(
-                    "unused allowlist entry: rule `{}` no longer fires for `{}` — remove it",
-                    a.rule, a.path
-                ),
-            ));
         }
     }
 
@@ -228,9 +199,7 @@ mod tests {
 
     fn lint_toml_for(root: &Path, reference_rel: &str) -> String {
         let sha = sha256::hex_digest(&fs::read(root.join(reference_rel)).unwrap());
-        format!(
-            "schema_version = 1\n[reference-engine-frozen]\nfile = \"{reference_rel}\"\nsha256 = \"{sha}\"\n"
-        )
+        format!("[reference-engine-frozen]\nfile = \"{reference_rel}\"\nsha256 = \"{sha}\"\n")
     }
 
     #[test]
@@ -298,22 +267,16 @@ mod tests {
     }
 
     #[test]
-    fn file_level_allow_suppresses_and_reference_drift_fails() {
+    fn reference_drift_fails() {
         let root = scratch_workspace(
             "config",
-            &[
-                ("crates/sim/src/reference.rs", "pub fn r() {}\n"),
-                (
-                    "crates/nn/src/matrix.rs",
-                    "fn f(x: f32) -> bool { x == 0.0 }\n",
-                ),
-            ],
+            &[("crates/sim/src/reference.rs", "pub fn r() {}\n")],
         );
-        let mut toml = lint_toml_for(&root, "crates/sim/src/reference.rs");
-        toml.push_str(
-            "[[allow]]\nrule = \"float-eq\"\npath = \"crates/nn/src/matrix.rs\"\nreason = \"sentinel\"\n",
-        );
-        fs::write(root.join("lint.toml"), &toml).unwrap();
+        fs::write(
+            root.join("lint.toml"),
+            lint_toml_for(&root, "crates/sim/src/reference.rs"),
+        )
+        .unwrap();
         assert!(lint_workspace(&root).is_clean());
 
         // Now drift the reference engine: the frozen-hash rule must fire.

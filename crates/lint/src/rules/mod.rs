@@ -1,9 +1,11 @@
 //! The rule set. Each rule is a pure function from a [`FileCtx`] to
-//! diagnostics; suppression (inline `lint:allow` escapes and `lint.toml`
-//! file-level entries) is applied by the driver in `lib.rs`, so rules stay
-//! side-effect free and individually testable on fixture snippets.
+//! diagnostics; suppression (inline `lint:allow` escapes) is applied by
+//! the driver in `lib.rs`, so rules stay side-effect free and
+//! individually testable on fixture snippets.
 //!
-//! Scope tables live here so CONTRIBUTING.md has one place to mirror.
+//! Every rule's scope is declared here and nowhere else: `lint.toml`
+//! pins only the frozen reference engine. The workspace test
+//! `scope_tables_name_live_files` checks that every path below exists.
 
 use crate::diag::Diagnostic;
 use crate::scanner::FileCtx;
@@ -49,15 +51,12 @@ pub const NN_KERNEL_FILES: &[&str] = &[
     "crates/nn/src/quant.rs",
 ];
 
-/// The modules allowed to contain `std::arch`/`core::arch` intrinsics
+/// The one module allowed to contain `std::arch`/`core::arch` intrinsics
 /// and `target_feature` dispatch: every vectorized loop lives in
 /// `simd.rs`, next to its scalar twin and the bitwise tests, behind the
-/// runtime-selected `KernelBackend`; `quant.rs` is the int8 datapath
-/// built directly on those kernels (it holds no intrinsics today, but
-/// its packing/layout helpers are kernel-shaped and reviewed under the
-/// same rules). Everything else goes through the safe wrappers
-/// (`simd-outside-kernel`).
-pub const SIMD_KERNEL_FILES: &[&str] = &["crates/nn/src/simd.rs", "crates/nn/src/quant.rs"];
+/// runtime-selected `KernelBackend`. Everything else goes through the
+/// safe wrappers (`simd-outside-kernel`).
+pub const SIMD_KERNEL_FILES: &[&str] = &["crates/nn/src/simd.rs"];
 
 /// The serving datapath: files every decision request crosses. A panic
 /// here takes down the whole server, not just one session, so
@@ -70,13 +69,19 @@ pub const SERVE_HOT_FILES: &[&str] = &[
     "crates/serve/src/pool.rs",
 ];
 
-/// The only files allowed to contain `unsafe` at all: raw epoll/eventfd
-/// syscalls in the event loop, `target_feature` SIMD kernels, and
-/// `AlignedVec`'s manual 32-byte-aligned allocation. Mirrored — with a
-/// reason per file — by the `[[unsafe-allowed]]` entries in `lint.toml`;
-/// the config loader cross-checks the two so neither can drift. Unsafe
-/// outside this set takes an inline `lint:allow(unsafe-undocumented)`
-/// escape with a reason (`unsafe-undocumented`).
+/// The only files allowed to contain `unsafe` at all, each because its
+/// job is unsafe code (`unsafe-undocumented`):
+/// - `event_loop.rs`: raw epoll/eventfd/close syscalls through `extern
+///   "C"` declarations, because the offline workspace vendors no libc
+///   crate;
+/// - `simd.rs`: `target_feature` SIMD kernels behind runtime-detected
+///   dispatch, the only sanctioned intrinsics module;
+/// - `align.rs`: `AlignedVec`'s manual 64-byte-aligned allocation, so
+///   matrix rows 16 elements apart start on a cache-line boundary and do
+///   not straddle an extra line (the kernels still issue unaligned loads).
+///
+/// Isolated unsafe outside this set takes an inline
+/// `lint:allow(unsafe-undocumented)` escape with a reason instead.
 pub const UNSAFE_ALLOWED_FILES: &[&str] = &[
     "crates/serve/src/event_loop.rs",
     "crates/nn/src/simd.rs",
@@ -112,11 +117,13 @@ pub const WALL_CLOCK_CRATES: &[&str] = &["bench", "serve", "runtime"];
 pub const THREAD_ALLOWED_CRATES: &[&str] = &["runtime", "serve"];
 
 /// Individual files outside [`THREAD_ALLOWED_CRATES`] sanctioned to
-/// create threads: the serve-stack bench binaries, whose load-driver
-/// client threads are real-time workload generators with no determinism
-/// contract to protect. Mirrored — with a reason per file — by the
-/// `[[thread-allowed]]` entries in `lint.toml`; the config loader
-/// cross-checks the two so neither can drift.
+/// create threads: the serve-stack bench binaries, whose client threads
+/// generate real-time traffic and have no determinism contract to
+/// protect.
+/// - `serve.rs`: the standalone server harness, with a ctrl-c watcher and
+///   probe client threads against a live socket;
+/// - `serve_bench.rs`: load-driver client threads hammering the server
+///   over loopback, measuring wall-clock throughput, not simulated stats.
 pub const THREAD_ALLOWED_FILES: &[&str] = &[
     "crates/bench/src/bin/serve.rs",
     "crates/bench/src/bin/serve_bench.rs",
@@ -157,11 +164,11 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "simd-outside-kernel",
-        "std::arch/core::arch intrinsics, target_feature, or is_x86_feature_detected! outside the SIMD kernel set (crates/nn/src/{simd,quant}.rs); use the resemble_nn::simd wrappers",
+        "std::arch/core::arch intrinsics, target_feature, or is_x86_feature_detected! outside the SIMD kernel module (crates/nn/src/simd.rs); use the resemble_nn::simd wrappers",
     ),
     (
         "unsafe-undocumented",
-        "`unsafe` without a `// SAFETY:` comment directly above, or outside the [[unsafe-allowed]] file set in lint.toml",
+        "`unsafe` without a `// SAFETY:` comment directly above, or outside the unsafe-allowed files (event loop syscalls, SIMD kernels, AlignedVec)",
     ),
     (
         "lock-order",
@@ -177,7 +184,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "thread-outside-runtime",
-        "std::thread::{spawn, scope, Builder} outside crates/runtime, crates/serve, and the [[thread-allowed]] bench binaries; fan out through resemble_runtime::Sweep",
+        "std::thread::{spawn, scope, Builder} outside crates/runtime, crates/serve, and the serve load-driver bench binaries; fan out through resemble_runtime::Sweep",
     ),
 ];
 

@@ -19,7 +19,7 @@ pub const RULE: &str = "reference-engine-frozen";
 /// Check the committed hash against the file on disk.
 pub fn check(root: &Path, cfg: &LintConfig, out: &mut Vec<Diagnostic>) {
     if cfg.reference_file.is_empty() {
-        // config.validate() already reported the missing section.
+        // The config parser already reported the missing section.
         return;
     }
     let path = root.join(&cfg.reference_file);
@@ -70,10 +70,6 @@ mod tests {
         LintConfig {
             reference_file: file.to_string(),
             reference_sha256: sha.to_string(),
-            simd_kernel_file: String::new(),
-            unsafe_allowed: Vec::new(),
-            thread_allowed: Vec::new(),
-            allows: Vec::new(),
         }
     }
 

@@ -1,8 +1,7 @@
 //! `unsafe-undocumented`: every `unsafe` block, fn, or impl must be
 //! preceded by a `// SAFETY:` comment stating the invariant that makes
 //! it sound, and `unsafe` may only appear at all in the allowlisted file
-//! set ([`super::UNSAFE_ALLOWED_FILES`], mirrored — with reasons — by the
-//! `[[unsafe-allowed]]` entries in `lint.toml`).
+//! set ([`super::UNSAFE_ALLOWED_FILES`], which gives each file's reason).
 //!
 //! The documentation check accepts the comment on the same line, on the
 //! line directly above, or above a contiguous block of comment and/or
@@ -64,9 +63,9 @@ pub fn check(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
                 &ctx.path,
                 line,
                 "`unsafe` outside the allowlisted file set: unsafe code is confined to \
-                 the files named by [[unsafe-allowed]] in lint.toml (event loop syscalls, \
-                 SIMD kernels, AlignedVec); move the code behind an existing safe wrapper \
-                 or make the case for extending the allowlist"
+                 the files in rules::UNSAFE_ALLOWED_FILES (event loop syscalls, SIMD \
+                 kernels, AlignedVec); move the code behind an existing safe wrapper or \
+                 make the case for extending the allowlist"
                     .to_string(),
             ));
         }

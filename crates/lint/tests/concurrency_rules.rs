@@ -23,7 +23,7 @@ fn scratch(tag: &str) -> PathBuf {
     std::fs::write(
         root.join("lint.toml"),
         format!(
-            "schema_version = 1\n[reference-engine-frozen]\nfile = \"crates/sim/src/reference.rs\"\nsha256 = \"{}\"\n",
+            "[reference-engine-frozen]\nfile = \"crates/sim/src/reference.rs\"\nsha256 = \"{}\"\n",
             sha256::hex_digest(reference.as_bytes())
         ),
     )

@@ -30,7 +30,7 @@ fn live_workspace_is_clean() {
     assert_eq!(
         report.warnings(),
         0,
-        "workspace has lint warnings (stale escapes or allowlist entries):\n{}",
+        "workspace has lint warnings (stale escapes):\n{}",
         report
             .diagnostics
             .iter()
@@ -166,6 +166,32 @@ fn every_rule_catches_an_injected_violation() {
     );
 }
 
+/// A scope table that names a renamed or deleted file silently drops it
+/// out of its rule, so every path in every table must exist. This is a
+/// test rather than a config check because scratch workspaces (like the
+/// injection cases above) lint trees that lack these files.
+#[test]
+fn scope_tables_name_live_files() {
+    let root = repo_root();
+    let tables: &[(&str, &[&str])] = &[
+        ("HOT_FILES", rules::HOT_FILES),
+        ("NN_KERNEL_FILES", rules::NN_KERNEL_FILES),
+        ("SIMD_KERNEL_FILES", rules::SIMD_KERNEL_FILES),
+        ("SERVE_HOT_FILES", rules::SERVE_HOT_FILES),
+        ("UNSAFE_ALLOWED_FILES", rules::UNSAFE_ALLOWED_FILES),
+        ("EVENT_LOOP_HOT_FILES", rules::EVENT_LOOP_HOT_FILES),
+        ("THREAD_ALLOWED_FILES", rules::THREAD_ALLOWED_FILES),
+        ("CONVERT_FILE", &[rules::CONVERT_FILE]),
+    ];
+    let missing: Vec<String> = tables
+        .iter()
+        .flat_map(|(table, paths)| paths.iter().map(move |p| (table, p)))
+        .filter(|(_, p)| !root.join(p).is_file())
+        .map(|(table, p)| format!("rules::{table} names `{p}`, which does not exist"))
+        .collect();
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
+}
+
 #[test]
 fn rule_registry_matches_the_rule_modules() {
     let names: Vec<&str> = rules::RULES.iter().map(|(n, _)| *n).collect();
@@ -204,7 +230,7 @@ fn scratch_with_reference(tag: &str) -> PathBuf {
     std::fs::write(
         root.join("lint.toml"),
         format!(
-            "schema_version = 1\n[reference-engine-frozen]\nfile = \"crates/sim/src/reference.rs\"\nsha256 = \"{}\"\n",
+            "[reference-engine-frozen]\nfile = \"crates/sim/src/reference.rs\"\nsha256 = \"{}\"\n",
             sha256::hex_digest(reference.as_bytes())
         ),
     )

@@ -285,7 +285,7 @@ pub mod signal {
         // SAFETY: `on_signal` is a valid extern "C" fn for the whole
         // program lifetime and only stores an atomic (async-signal-safe);
         // signal(2) takes no pointers beyond the handler itself.
-        // lint:allow(unsafe-undocumented): one isolated signal(2) registration — not worth widening the [[unsafe-allowed]] file set
+        // lint:allow(unsafe-undocumented): one isolated signal(2) registration — not worth widening rules::UNSAFE_ALLOWED_FILES
         unsafe {
             signal(2, on_signal);
             signal(15, on_signal);
