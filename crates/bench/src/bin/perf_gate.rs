@@ -9,11 +9,11 @@
 //!
 //! After the matrix, a **controller-throughput** section times the full
 //! ReSemble MLP configuration (batch 256, Table III) end-to-end through
-//! the optimized engine twice — once per DQN [`Datapath`]: the batched
-//! minibatch-GEMM datapath vs the scalar per-sample reference — on a
-//! small app subset, verifying the two produce bit-identical `SimStats`
-//! (the datapaths are bit-identical by construction, so any divergence is
-//! a kernel bug).
+//! the optimized engine twice — once per DQN
+//! [`Datapath`](resemble_core::Datapath): the batched minibatch-GEMM
+//! datapath vs the scalar per-sample reference — on a small app subset,
+//! verifying the two produce bit-identical `SimStats` (the datapaths are
+//! bit-identical by construction, so any divergence is a kernel bug).
 //!
 //! After the controller section, a **kernel-throughput** section times
 //! the raw batched kernel path (forward + backward minibatch on the

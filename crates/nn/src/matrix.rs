@@ -249,7 +249,7 @@ impl Matrix {
     /// backprop delta propagation for a whole batch in one call.
     ///
     /// Runs the dispatched per-sample-row kernel
-    /// ([`crate::simd::matvec_t_sample`]), which keeps the exact-zero
+    /// (`simd::matvec_t_sample`), which keeps the exact-zero
     /// sparsity skip (backprop deltas are mostly zero after ReLU masking
     /// and single-action TD errors) and the per-element accumulation
     /// order identical to [`Matrix::matvec_transpose_into`] — the vector

@@ -84,7 +84,7 @@ pub fn fit_scale_i8(max_abs: f32) -> f32 {
 ///
 /// Every operation is pinned — the single reciprocal, the per-element
 /// multiply, the truncate-plus-fraction-compare rounding inside
-/// [`crate::simd::quantize_i8`], clamp before the cast — so the bytes
+/// `simd::quantize_i8`, clamp before the cast — so the bytes
 /// are identical on every backend and every rerun (for finite inputs;
 /// see the module docs). A subnormal scale whose reciprocal overflows
 /// yields all-zero codes with scale `1.0`.

@@ -52,7 +52,7 @@
 //!
 //! # Int8 kernels: exactness, not order
 //!
-//! The int8 GEMM ([`gemm_i8_i32`]) obeys a *different* — and simpler —
+//! The int8 GEMM (`gemm_i8_i32`) obeys a *different* — and simpler —
 //! determinism argument. Every product of two i8 values and every partial
 //! sum fits an i32 exactly (|Σ| ≤ k·127², and the wrapper asserts `k ≤
 //! 130_000` so that bound stays below `i32::MAX`), and exact integer
@@ -60,20 +60,20 @@
 //! horizontal reductions the float kernels must avoid — yields the same
 //! i32. Backends therefore agree byte-for-byte by arithmetic exactness
 //! rather than by matching accumulation order; the cross-backend sweep in
-//! `crates/nn/tests/int8_sweep.rs` pins it. [`gemm_i8p_lanes`] applies
+//! `crates/nn/tests/int8_sweep.rs` pins it. `gemm_i8p_lanes` applies
 //! the same argument to the small-`k`, wide-`fan_out` layer shape (the
 //! wide frozen controller's input layer): the weights are pre-staged as
 //! i16 `(k, k+1)` pairs interleaved across outputs so one `madd` yields
 //! eight exact i32 partial sums, and again any accumulation order gives
 //! identical bytes.
 //!
-//! The elementwise int8 helpers ([`max_abs_f32`] and [`quantize_i8`])
+//! The elementwise int8 helpers (`max_abs_f32` and `quantize_i8`)
 //! are dispatched too, with a third determinism argument: `max` over a
 //! set is order-free, and a per-element map has no accumulation at all —
 //! every backend evaluates the identical IEEE expression per element
 //! (multiply by the reciprocal scale, round half away from zero computed
 //! as exact truncate-plus-fraction-compare, clamp, narrow). The one
-//! caveat, documented on [`quantize_i8`], is non-finite input: scalar
+//! caveat, documented on `quantize_i8`, is non-finite input: scalar
 //! Rust saturating casts and x86 `cvttps2dq` disagree on NaN/±inf, so
 //! cross-backend identity is promised for finite inputs only. The
 //! dequant/bias/activation epilogue stays in `quant.rs` as shared
@@ -86,7 +86,7 @@
 //! EVEX dot-product instructions; the [`KernelBackend`] stays `Avx512`
 //! and the `avx512_vnni` bit of [`capabilities`] picks the form:
 //!
-//! - [`gemm_i8_i32`] uses `vpdpbusd` — one fused u8×i8 dot per 64 bytes,
+//! - `gemm_i8_i32` uses `vpdpbusd` — one fused u8×i8 dot per 64 bytes,
 //!   made signed-exact by the classic offset trick (`x + 128` via
 //!   sign-bit XOR, then subtract `128·Σw`, with the correction's `Σw`
 //!   recovered from a `vpsadbw` running sum). The accumulator lanes may
@@ -94,7 +94,7 @@
 //!   bounded by the wrapper's `k ≤ 130_000` assert, so the corrected
 //!   result is the exact i32 — the same exactness argument as above,
 //!   extended to modular form.
-//! - [`gemm_i8p_lanes`] uses `vpdpwssd`, which fuses the `madd`+`add`
+//! - `gemm_i8p_lanes` uses `vpdpwssd`, which fuses the `madd`+`add`
 //!   pair-sum step into one instruction with identical i32 results.
 //!
 //! Because every form computes the identical exact i32s, VNNI needs no

@@ -2,7 +2,7 @@
 //! telemetry snapshots, and graceful drain.
 //!
 //! Thread model (DESIGN.md §8): a small fixed pool of I/O threads each
-//! runs a nonblocking epoll event loop ([`crate::event_loop`]); thread 0
+//! runs a nonblocking epoll event loop (`event_loop.rs`); thread 0
 //! owns the listener and hands accepted connections round-robin to its
 //! peers through eventfd-backed mailboxes. Connection state (frame
 //! reassembly buffer, session binding) lives in a per-thread slab keyed
