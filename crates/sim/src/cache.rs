@@ -16,17 +16,14 @@ use crate::convert;
 use resemble_trace::record::block_of;
 use serde::{Deserialize, Serialize};
 
-/// Cache replacement policy. The paper evaluates with LRU; FIFO and
-/// Random are provided for sensitivity studies.
+/// Cache replacement policy. The paper evaluates with LRU (Table V), the
+/// only policy [`Cache`] implements; the enum stays so configurations
+/// and the frozen reference engine name the policy they assume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Replacement {
     /// Least-recently-used (Table V).
     #[default]
     Lru,
-    /// First-in-first-out (insertion order).
-    Fifo,
-    /// Pseudo-random (xorshift over the way index).
-    Random,
 }
 
 /// Outcome of a cache lookup.
@@ -78,12 +75,7 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Packed per-line metadata (see `META_*`), parallel to `tags`.
     meta: Vec<u64>,
-    /// Insertion timestamps, written and read only under
-    /// `Replacement::Fifo` (cold for the paper's LRU configuration).
-    inserted: Vec<u64>,
     tick: u64,
-    policy: Replacement,
-    rng_state: u64,
     /// `sets - 1` when `sets` is a power of two, else `u64::MAX` to select
     /// the multiply-shift path.
     set_mask: u64,
@@ -106,16 +98,6 @@ impl Cache {
     /// 64-byte blocks. The set count is `size / (64 * ways)` and need not
     /// be a power of two (indexing is modulo).
     pub fn new(name: &'static str, size_bytes: usize, ways: usize) -> Self {
-        Self::with_policy(name, size_bytes, ways, Replacement::Lru)
-    }
-
-    /// Build a cache with an explicit replacement policy.
-    pub fn with_policy(
-        name: &'static str,
-        size_bytes: usize,
-        ways: usize,
-        policy: Replacement,
-    ) -> Self {
         assert!(ways > 0);
         let sets = size_bytes / (64 * ways);
         assert!(sets > 0, "cache too small: {size_bytes} bytes, {ways} ways");
@@ -130,21 +112,13 @@ impl Cache {
             ways,
             tags: vec![INVALID_TAG; sets * ways],
             meta: vec![0; sets * ways],
-            inserted: vec![0; sets * ways],
             tick: 0,
-            policy,
-            rng_state: 0x243F_6A88_85A3_08D3,
             set_mask,
             // ⌈2^64/sets⌉; wraps to 0 for sets == 1, where the pow2 mask
             // path is taken and this value is never read.
             fastmod_m: (u64::MAX / sets as u64).wrapping_add(1),
             fold_r: (1u64 << 32) % sets as u64,
         }
-    }
-
-    /// Replacement policy in use.
-    pub fn policy(&self) -> Replacement {
-        self.policy
     }
 
     /// Cache level name ("l1d", "llc", ...).
@@ -295,7 +269,7 @@ impl Cache {
         self.insert(base, block, is_write, is_prefetch, tick)
     }
 
-    /// Place `block` in its set, evicting per policy if no way is free.
+    /// Place `block` in its set, evicting the LRU line if no way is free.
     #[inline]
     fn insert(
         &mut self,
@@ -305,78 +279,47 @@ impl Cache {
         is_prefetch: bool,
         tick: u64,
     ) -> Option<Eviction> {
-        let ways = self.ways;
-        // No separate free-way scan for LRU/FIFO: an empty way carries
-        // metadata 0 (live ticks start at 1), so the victim min-scan lands
-        // on the first free way whenever one exists — one pass instead of
-        // two per insert.
-        let victim_idx = match self.policy {
-            Replacement::Lru => {
-                #[inline]
-                fn lru_min<const N: usize>(metas: &[u64]) -> usize {
-                    // lint:allow(panic-in-hot-path): the ways-dispatch match below only calls lru_min::<N> with an N-length slice
-                    let metas: &[u64; N] = metas.try_into().expect("slice length is N");
-                    // Seeding with u64::MAX (> META_LRU_MASK, so iteration 0
-                    // always wins) lets the scan start at 0 with no front
-                    // element access.
-                    let mut best = 0usize;
-                    let mut best_lru = u64::MAX;
-                    let mut i = 0;
-                    while i < N {
-                        let lru = metas[i] & META_LRU_MASK;
-                        if lru < best_lru {
-                            best = i;
-                            best_lru = lru;
-                        }
-                        i += 1;
-                    }
-                    best
+        #[inline]
+        fn lru_min<const N: usize>(metas: &[u64]) -> usize {
+            // lint:allow(panic-in-hot-path): the ways-dispatch match below only calls lru_min::<N> with an N-length slice
+            let metas: &[u64; N] = metas.try_into().expect("slice length is N");
+            // Seeding with u64::MAX (> META_LRU_MASK, so iteration 0
+            // always wins) lets the scan start at 0 with no front
+            // element access.
+            let mut best = 0usize;
+            let mut best_lru = u64::MAX;
+            let mut i = 0;
+            while i < N {
+                let lru = metas[i] & META_LRU_MASK;
+                if lru < best_lru {
+                    best = i;
+                    best_lru = lru;
                 }
-                let metas = &self.meta[base..base + ways];
-                match ways {
-                    8 => lru_min::<8>(metas),
-                    12 => lru_min::<12>(metas),
-                    16 => lru_min::<16>(metas),
-                    _ => {
-                        let mut best = 0usize;
-                        let mut best_lru = u64::MAX;
-                        for (i, &m) in metas.iter().enumerate() {
-                            let lru = m & META_LRU_MASK;
-                            if lru < best_lru {
-                                best = i;
-                                best_lru = lru;
-                            }
-                        }
-                        best
-                    }
-                }
+                i += 1;
             }
-            Replacement::Fifo => {
-                // First-minimum scan, matching min_by_key's tie-breaking,
-                // without the impossible-empty-slice expect.
-                let ins = &self.inserted[base..base + ways];
+            best
+        }
+        let ways = self.ways;
+        // No separate free-way scan: an empty way carries metadata 0 (live
+        // ticks start at 1), so the victim min-scan lands on the first
+        // free way whenever one exists — one pass instead of two per
+        // insert.
+        let metas = &self.meta[base..base + ways];
+        let victim_idx = match ways {
+            8 => lru_min::<8>(metas),
+            12 => lru_min::<12>(metas),
+            16 => lru_min::<16>(metas),
+            _ => {
                 let mut best = 0usize;
-                let mut best_t = u64::MAX;
-                for (i, &t) in ins.iter().enumerate() {
-                    if t < best_t {
+                let mut best_lru = u64::MAX;
+                for (i, &m) in metas.iter().enumerate() {
+                    let lru = m & META_LRU_MASK;
+                    if lru < best_lru {
                         best = i;
-                        best_t = t;
+                        best_lru = lru;
                     }
                 }
                 best
-            }
-            Replacement::Random => {
-                let tags = &self.tags[base..base + ways];
-                match tags.iter().position(|&t| t == INVALID_TAG) {
-                    Some(i) => i,
-                    None => {
-                        let rng = &mut self.rng_state;
-                        *rng ^= *rng << 13;
-                        *rng ^= *rng >> 7;
-                        *rng ^= *rng << 17;
-                        convert::to_index(*rng % ways as u64)
-                    }
-                }
             }
         };
         let victim_tag = self.tags[base + victim_idx];
@@ -401,9 +344,6 @@ impl Cache {
             v |= META_USED;
         }
         self.meta[base + victim_idx] = v;
-        if self.policy == Replacement::Fifo {
-            self.inserted[base + victim_idx] = tick;
-        }
         evicted
     }
 
@@ -415,10 +355,8 @@ impl Cache {
         match self.probe(base, block) {
             Some(w) => {
                 self.tags[base + w] = INVALID_TAG;
-                // Zeroed bookkeeping makes the freed way the next victim
-                // under LRU and FIFO alike.
+                // Zeroed bookkeeping makes the freed way the next victim.
                 self.meta[base + w] = 0;
-                self.inserted[base + w] = 0;
                 true
             }
             None => false,
@@ -429,7 +367,6 @@ impl Cache {
     pub fn clear(&mut self) {
         self.tags.fill(INVALID_TAG);
         self.meta.fill(0);
-        self.inserted.fill(0);
         self.tick = 0;
     }
 
@@ -577,35 +514,6 @@ mod tests {
         assert!(c.invalidate(0x1000));
         assert!(!c.contains(0x1000));
         assert!(!c.invalidate(0x1000));
-    }
-
-    #[test]
-    fn fifo_evicts_insertion_order_despite_touches() {
-        let mut c = Cache::with_policy("t", 2 * 2 * 64, 2, Replacement::Fifo);
-        c.fill(0, false, false);
-        c.fill(2 * 64, false, false);
-        // Touch block 0 (LRU would now evict block 2; FIFO still evicts 0).
-        c.access(0, false);
-        let ev = c.fill(4 * 64, false, false).unwrap();
-        assert_eq!(ev.block, 0);
-    }
-
-    #[test]
-    fn random_replacement_is_deterministic_and_valid() {
-        let run = || {
-            let mut c = Cache::with_policy("t", 2 * 2 * 64, 2, Replacement::Random);
-            let mut evs = Vec::new();
-            for i in 0..20u64 {
-                if let Some(e) = c.fill(i * 2 * 64, false, false) {
-                    evs.push(e.block);
-                }
-            }
-            evs
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "seeded xorshift must be deterministic");
-        assert!(!a.is_empty());
     }
 
     #[test]

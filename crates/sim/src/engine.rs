@@ -85,7 +85,7 @@ impl Backend {
     /// An idle back end with `cfg`'s LLC, MSHR count and DRAM.
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         Self {
-            llc: Cache::with_policy("llc", cfg.llc_size, cfg.llc_ways, cfg.llc_replacement),
+            llc: Cache::new("llc", cfg.llc_size, cfg.llc_ways),
             outstanding: TimeQueue::with_capacity(128),
             mshrs: cfg.llc_mshrs,
             dram: Dram::new(cfg.dram),
