@@ -1,9 +1,8 @@
 //! # resemble-stats
 //!
-//! Metric and reporting utilities for the ReSemble harness: windowed
-//! reward series (Table VI / Fig 6), curve smoothing, geometric means
-//! (Fig 12 averages), and plain-text table/series rendering used by every
-//! figure/table binary.
+//! Metric and reporting utilities for the ReSemble harness: curve
+//! smoothing (Fig 6), geometric means (Fig 12 averages), and plain-text
+//! table/series rendering used by every figure/table binary.
 
 #![warn(missing_docs)]
 
@@ -11,6 +10,6 @@ pub mod series;
 pub mod summary;
 pub mod table;
 
-pub use series::{smooth, WindowedMean};
+pub use series::smooth;
 pub use summary::{geo_mean, mean, percent};
 pub use table::{render_series, Table};

@@ -1,73 +1,8 @@
-//! Time-series utilities: windowed aggregation and smoothing.
+//! Time-series smoothing.
 //!
-//! The paper evaluates learning with "average rewards for each 1K access
-//! windows" (Table VI) and plots Fig 6 curves "smoothed by a factor of 10".
-
-/// Accumulates values into fixed-size windows, emitting each window's sum
-/// and mean. Used for per-1K-access reward aggregation.
-#[derive(Debug, Clone)]
-pub struct WindowedMean {
-    window: usize,
-    acc: f64,
-    count: usize,
-    /// (sum, mean) per completed window
-    completed: Vec<(f64, f64)>,
-}
-
-impl WindowedMean {
-    /// Aggregate into windows of `window` samples.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0);
-        Self {
-            window,
-            acc: 0.0,
-            count: 0,
-            completed: Vec::new(),
-        }
-    }
-
-    /// Push one sample.
-    pub fn push(&mut self, v: f64) {
-        self.acc += v;
-        self.count += 1;
-        if self.count == self.window {
-            self.completed
-                .push((self.acc, self.acc / self.window as f64));
-            self.acc = 0.0;
-            self.count = 0;
-        }
-    }
-
-    /// Sums of completed windows (the paper's "average rewards of 1K
-    /// accesses windows" are window *sums* of ±1 rewards).
-    pub fn window_sums(&self) -> Vec<f64> {
-        self.completed.iter().map(|&(s, _)| s).collect()
-    }
-
-    /// Means of completed windows.
-    pub fn window_means(&self) -> Vec<f64> {
-        self.completed.iter().map(|&(_, m)| m).collect()
-    }
-
-    /// Mean of the per-window sums (Table VI's reported statistic).
-    pub fn mean_window_sum(&self) -> f64 {
-        if self.completed.is_empty() {
-            0.0
-        } else {
-            self.completed.iter().map(|&(s, _)| s).sum::<f64>() / self.completed.len() as f64
-        }
-    }
-
-    /// Number of completed windows.
-    pub fn len(&self) -> usize {
-        self.completed.len()
-    }
-
-    /// `true` when no window has completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.completed.is_empty()
-    }
-}
+//! The paper plots Fig 6 learning curves "smoothed by a factor of 10";
+//! the per-1K-access reward windows themselves come from
+//! `EnsembleStats` in `resemble-core`.
 
 /// Centered-free trailing moving average with the given factor
 /// (`smooth(xs, 10)` reproduces the paper's "smoothed by a factor of 10").
@@ -90,25 +25,6 @@ pub fn smooth(xs: &[f64], factor: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windows_aggregate_sums_and_means() {
-        let mut w = WindowedMean::new(4);
-        for v in [1.0, 1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 4.0, 9.0] {
-            w.push(v);
-        }
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.window_sums(), vec![2.0, 4.0]);
-        assert_eq!(w.window_means(), vec![0.5, 1.0]);
-        assert_eq!(w.mean_window_sum(), 3.0);
-    }
-
-    #[test]
-    fn empty_windows() {
-        let w = WindowedMean::new(10);
-        assert!(w.is_empty());
-        assert_eq!(w.mean_window_sum(), 0.0);
-    }
 
     #[test]
     fn smoothing_preserves_length_and_flattens() {

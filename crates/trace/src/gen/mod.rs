@@ -15,7 +15,6 @@ use crate::record::MemAccess;
 
 pub mod graph;
 pub mod interleave;
-pub mod kernels;
 pub mod pointer_chase;
 pub mod spec_like;
 pub mod stream;
@@ -24,7 +23,6 @@ pub mod suite;
 
 pub use graph::{CsrGraph, GraphGen, GraphKernel};
 pub use interleave::{PhasedGen, ProbMixGen};
-pub use kernels::{Kernel, KernelGen};
 pub use pointer_chase::PointerChaseGen;
 pub use spec_like::{app_by_name, AppTrace, APP_NAMES};
 pub use stream::StreamGen;

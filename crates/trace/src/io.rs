@@ -5,7 +5,6 @@
 //! `instr_id pc addr rw`, hex for pc/addr. Useful for archiving generated
 //! workloads and replaying identical traces across harness runs.
 
-use crate::gen::VecSource;
 use crate::record::MemAccess;
 use std::io::{self, BufRead, Write};
 
@@ -85,11 +84,6 @@ fn parse_hex(s: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(s, 16).ok()
-}
-
-/// Read a trace into a replayable [`VecSource`].
-pub fn read_trace_source<R: BufRead>(r: R) -> io::Result<VecSource> {
-    Ok(VecSource::new(read_trace(r)?))
 }
 
 #[cfg(test)]

@@ -3,7 +3,6 @@
 
 use resemble::core::{oracle_selection, ResembleConfig, ResembleMlp};
 use resemble::prelude::*;
-use resemble::trace::gen::{Kernel, KernelGen};
 
 #[test]
 fn multicore_heterogeneous_mix_prefers_per_core_ensembles() {
@@ -81,35 +80,6 @@ fn oracle_bounds_hold_on_real_bank() {
         r.per_member_hits[1] > r.per_member_hits[2],
         "SPP should beat ISB on wrf"
     );
-}
-
-#[test]
-fn kernel_workloads_run_through_the_full_stack() {
-    for k in [
-        Kernel::MatMul { n: 96 },
-        Kernel::MergeSort { n: 1 << 12 },
-        Kernel::HashJoin {
-            build: 40_000,
-            probe: 1 << 20,
-        },
-        Kernel::Stencil2D { n: 192 },
-    ] {
-        let mut engine = Engine::new(SimConfig::test_small());
-        let mut src = KernelGen::new(k, 7, 4);
-        let base = engine.run(&mut src, None, 2_000, 10_000);
-        let mut engine = Engine::new(SimConfig::test_small());
-        let mut src = KernelGen::new(k, 7, 4);
-        let mut spp = Spp::new();
-        let s = engine.run(&mut src, Some(&mut spp), 2_000, 10_000);
-        assert_eq!(s.demand_accesses, 10_000, "{k:?}");
-        // Every kernel has some regular component SPP can cover.
-        assert!(
-            s.prefetches_useful > 0,
-            "{k:?}: SPP should find structure (useful={})",
-            s.prefetches_useful
-        );
-        assert!(s.ipc() >= base.ipc() * 0.95, "{k:?} must not badly regress");
-    }
 }
 
 #[test]
