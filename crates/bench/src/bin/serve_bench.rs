@@ -532,8 +532,9 @@ fn main() {
         .unwrap_or("resemble_frozen_wide")
         .to_string();
     // One shard and one I/O thread by default: sessions pool per shard,
-    // so a single worker gathering every ready session is the cleanest
-    // (and least scheduling-sensitive) pooled-vs-per-session comparison.
+    // so a single event loop gathering every ready session is the
+    // cleanest (and least scheduling-sensitive) pooled-vs-per-session
+    // comparison.
     let io_threads = opts.usize("io-threads", 1);
     let hisess_shards = 1;
     let nofile_limit = raise_nofile_limit(hisess_req as u64 * 2 + 256);

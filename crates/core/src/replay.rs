@@ -15,9 +15,12 @@
 //! paper's answer to the lag of cache feedback.
 //!
 //! **Storage layout.** States and next-states live in two flat `f32` ring
-//! arrays (`capacity × state_dim`), not per-transition `Vec`s: a push is a
-//! `copy_from_slice` into the ring (no allocation per access), and the DQN
-//! minibatch gather reads contiguous rows straight out of the arrays. The
+//! arrays (up to `capacity × state_dim`), not per-transition `Vec`s: a
+//! push is a `copy_from_slice` into the ring (no allocation per access
+//! once the ring is full), and the DQN minibatch gather reads contiguous
+//! rows straight out of the arrays. The slot array and both rings grow as
+//! the first lap's transitions arrive, so a new memory costs nothing
+//! until it is used (a served session is built per Hello). The
 //! sampleable set is maintained incrementally (swap-remove indexed by an
 //! `FxHashMap`) so drawing a batch is O(batch), not an O(live) prune per
 //! training step.
@@ -32,7 +35,6 @@ use std::collections::VecDeque;
 struct Slot {
     /// Monotone id of the occupant; doubles as the access timestamp.
     id: u64,
-    occupied: bool,
     /// Action index a_t.
     action: usize,
     /// Block numbers of the issued prefetches (allocation reused across
@@ -82,11 +84,13 @@ pub struct ReplayMemory {
     state_dim: usize,
     next_id: u64,
     window: u64,
-    /// flat `capacity × state_dim` ring of states s_t, 64-byte aligned
-    /// for the SIMD minibatch gather
+    /// flat `slots.len() × state_dim` ring of states s_t, 64-byte
+    /// aligned for the SIMD minibatch gather
     states: AlignedVec,
-    /// flat `capacity × state_dim` ring of next states s_{t+1}
+    /// flat `slots.len() × state_dim` ring of next states s_{t+1}
     next_states: AlignedVec,
+    /// one per slot reached so far (at most `capacity`); every one is
+    /// occupied
     slots: Vec<Slot>,
     /// pending ids in order, awaiting reward finalization
     pending: VecDeque<u64>,
@@ -108,9 +112,9 @@ impl ReplayMemory {
             state_dim,
             next_id: 0,
             window: window as u64,
-            states: AlignedVec::zeroed(capacity * state_dim),
-            next_states: AlignedVec::zeroed(capacity * state_dim),
-            slots: vec![Slot::default(); capacity],
+            states: AlignedVec::new(),
+            next_states: AlignedVec::new(),
+            slots: Vec::new(),
             pending: VecDeque::new(),
             by_block: FxHashMap::default(),
             valid_ids: Vec::new(),
@@ -125,7 +129,7 @@ impl ReplayMemory {
 
     /// Number of transitions currently stored.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.occupied).count()
+        self.slots.len()
     }
 
     /// `true` when nothing is stored.
@@ -171,17 +175,22 @@ impl ReplayMemory {
         let id = self.next_id;
         self.next_id += 1;
         let slot = self.slot_of(id);
-        // Ring lap: the previous occupant (if any) leaves the sampleable
-        // set before its storage is reused. Stale `pending`/`by_block`
-        // references are filtered by the id check at their use sites.
-        if self.slots[slot].occupied {
+        if slot == self.slots.len() {
+            // First lap: grow the slots and both rings by one.
+            self.slots.push(Slot::default());
+            let len = self.slots.len() * self.state_dim;
+            self.states.resize(len, 0.0);
+            self.next_states.resize(len, 0.0);
+        } else {
+            // Ring lap: the previous occupant leaves the sampleable set
+            // before its storage is reused. Stale `pending`/`by_block`
+            // references are filtered by the id check at their use sites.
             let old = self.slots[slot].id;
             self.unmark_valid(old);
         }
         self.states[slot * self.state_dim..(slot + 1) * self.state_dim].copy_from_slice(state);
         let s = &mut self.slots[slot];
         s.id = id;
-        s.occupied = true;
         s.action = action;
         s.blocks.clear();
         s.blocks.extend_from_slice(prefetch_blocks);
@@ -206,7 +215,7 @@ impl ReplayMemory {
     pub fn set_next_state(&mut self, id: u64, next_state: &[f32]) {
         assert_eq!(next_state.len(), self.state_dim, "state width mismatch");
         let slot = self.slot_of(id);
-        if self.slots[slot].occupied && self.slots[slot].id == id {
+        if self.slots.get(slot).is_some_and(|s| s.id == id) {
             self.next_states[slot * self.state_dim..(slot + 1) * self.state_dim]
                 .copy_from_slice(next_state);
             let s = &mut self.slots[slot];
@@ -230,7 +239,7 @@ impl ReplayMemory {
             for id in ids {
                 let slot = self.slot_of(id);
                 let s = &mut self.slots[slot];
-                if s.occupied && s.id == id && s.reward.is_none() {
+                if s.id == id && s.reward.is_none() {
                     s.hits += 1;
                     assigned.push((id, 1.0));
                     // All blocks hit: finalize early.
@@ -252,7 +261,7 @@ impl ReplayMemory {
             self.pending.pop_front();
             let slot = self.slot_of(id);
             let s = &mut self.slots[slot];
-            if !(s.occupied && s.id == id && s.reward.is_none()) {
+            if !(s.id == id && s.reward.is_none()) {
                 continue;
             }
             let r = if s.hits > 0 { s.hits as f32 } else { -1.0 };
@@ -298,13 +307,11 @@ impl ReplayMemory {
         out
     }
 
-    /// Fetch a transition view by id (None if overwritten).
+    /// Fetch a transition view by id (None if overwritten or not yet
+    /// pushed).
     pub fn get(&self, id: u64) -> Option<TransitionView<'_>> {
         let slot = self.slot_of(id);
-        let s = &self.slots[slot];
-        if !(s.occupied && s.id == id) {
-            return None;
-        }
+        let s = self.slots.get(slot).filter(|s| s.id == id)?;
         let range = slot * self.state_dim..(slot + 1) * self.state_dim;
         Some(TransitionView {
             id,
@@ -461,6 +468,21 @@ mod tests {
         assert_eq!(assigned.len(), 2);
         assert_eq!(m.get(a).unwrap().reward, Some(1.0));
         assert_eq!(m.get(b).unwrap().reward, Some(1.0));
+    }
+
+    #[test]
+    fn fresh_memory_has_no_transition_at_unreached_slots() {
+        let mut m = ReplayMemory::new(8, 4, 4);
+        assert_eq!(m.len(), 0);
+        assert!(m.get(0).is_none() && m.get(5).is_none());
+        let id = m.push(&st(1.0), 0, &[]);
+        assert!(m.get(id).is_some());
+        assert!(m.get(3).is_none(), "slot 3 was never reached");
+        assert!(
+            m.get(id + 8).is_none(),
+            "a later lap's id is not stored yet"
+        );
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

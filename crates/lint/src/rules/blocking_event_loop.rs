@@ -1,12 +1,13 @@
 //! `blocking-in-event-loop`: the epoll thread must never block. Files in
-//! [`super::EVENT_LOOP_HOT_FILES`] may not call `.lock()`,
+//! [`super::EVENT_LOOP_HOT_FILES`] — the event loop itself and the shard
+//! visits it runs after each `epoll_wait` batch — may not call `.lock()`,
 //! `thread::sleep`, a blocking channel `.recv()`, or stream `.write_all`
 //! — one stalled syscall there head-of-line-blocks every connection on
-//! the acceptor.
+//! that thread.
 //!
 //! The rule is deliberately name-based and loud: a `.lock()` on anything
-//! in the event-loop file is flagged even if the mutex is "only held for
-//! a push", because that argument has to be made explicitly — in a
+//! in those files is flagged even if the mutex is "only held for a
+//! push", because that argument has to be made explicitly — in a
 //! `lint:allow(blocking-in-event-loop): <why the critical section is
 //! bounded>` escape — rather than silently. `try_lock`, `try_recv`, and
 //! bounded `write` are the non-blocking alternatives the rule nudges
@@ -113,6 +114,12 @@ mod tests {
     }
 
     #[test]
+    fn shard_visits_are_in_scope() {
+        let src = "fn f(m: &std::sync::Mutex<u32>) { let _g = m.lock().unwrap(); }\n";
+        assert_eq!(run("crates/serve/src/shard.rs", src).len(), 1);
+    }
+
+    #[test]
     fn positive_imported_sleep() {
         let src = "use std::thread::sleep;\n\
                    use std::time::Duration;\n\
@@ -138,7 +145,7 @@ mod tests {
     #[test]
     fn negative_other_files_and_test_regions() {
         let src = "fn f(m: &std::sync::Mutex<u32>) { let _g = m.lock().unwrap(); }\n";
-        assert!(run("crates/serve/src/shard.rs", src).is_empty());
+        assert!(run("crates/serve/src/pool.rs", src).is_empty());
         let src2 = "#[cfg(test)]\n\
                     mod tests {\n\
                         fn t() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n\

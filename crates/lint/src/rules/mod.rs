@@ -91,7 +91,13 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[
 /// Files the epoll thread executes: nothing here may block — no
 /// `.lock()`, `thread::sleep`, blocking `recv()`, or unbounded
 /// `write_all` (`blocking-in-event-loop`).
-pub const EVENT_LOOP_HOT_FILES: &[&str] = &["crates/serve/src/event_loop.rs"];
+/// - `event_loop.rs`: accept, frame reads, and connection lifecycle;
+/// - `shard.rs`: the decision visits each event loop runs after its
+///   `epoll_wait` batch, and `Conn::send`.
+pub const EVENT_LOOP_HOT_FILES: &[&str] = &[
+    "crates/serve/src/event_loop.rs",
+    "crates/serve/src/shard.rs",
+];
 
 /// Crates covered by the cross-file concurrency rules (`lock-order`,
 /// `counter-pairing`): the serving stack is the only place the workspace
@@ -112,7 +118,7 @@ pub const WALL_CLOCK_CRATES: &[&str] = &["bench", "serve", "runtime"];
 /// `std::thread::{spawn, scope, Builder}` may appear
 /// (`thread-outside-runtime`): `runtime` is the deterministic sweep
 /// executor (ordered merge, per-key seeds, panic isolation — DESIGN.md
-/// §9) and `serve` owns the epoll I/O + shard worker pools (§8).
+/// §9) and `serve` owns the epoll event-loop threads (§8).
 /// Everything else fans work out through `resemble_runtime::Sweep`.
 pub const THREAD_ALLOWED_CRATES: &[&str] = &["runtime", "serve"];
 

@@ -3,7 +3,7 @@
 //! simulator hot files and the serve datapath files.
 //!
 //! A panic half-way through a multi-billion-access trace throws away the
-//! whole run; a panic in a shard worker or telemetry recorder takes down
+//! whole run; a panic in a shard visit or telemetry recorder takes down
 //! every session on a live server. Both hot paths must either handle the
 //! case or carry a `lint:allow` escape whose reason explains why the
 //! invariant is guaranteed (e.g. a `try_into` on a slice whose length the

@@ -5,7 +5,7 @@
 //! The workspace has exactly two sanctioned thread pools: the
 //! deterministic sweep executor in `crates/runtime` (ordered merge,
 //! per-key seeds, panic isolation — DESIGN.md §9) and the serving stack
-//! in `crates/serve` (epoll I/O + shard workers — DESIGN.md §8). A bare
+//! in `crates/serve` (the epoll event loops — DESIGN.md §8). A bare
 //! `thread::spawn` anywhere else bypasses both: its completion order
 //! leaks into output bytes, its panics vanish, and its RNG seeding is
 //! whatever the caller improvised. Simulation fan-out goes through

@@ -14,12 +14,29 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Largest batch [`Mlp::forward_batch`] runs through the per-sample
+/// kernels: below four rows they beat the batched GEMM and its staging
+/// (measured on `[4, 100, 5]` and `[4, 1024, 5]`, EXPERIMENTS.md).
+const PER_SAMPLE_MAX_ROWS: usize = 3;
+
 /// One fully-connected layer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 struct Dense {
     w: Matrix,
     b: Vec<f32>,
     act: Activation,
+}
+
+impl Dense {
+    /// One sample through the layer: `out = act(W x + b)`, the per-sample
+    /// kernels [`Mlp::forward`] and small batches run.
+    fn forward_row(&self, x: &[f32], out: &mut [f32]) {
+        self.w.matvec_into(x, out);
+        for (o, bias) in out.iter_mut().zip(&self.b) {
+            *o += bias;
+        }
+        self.act.apply(out);
+    }
 }
 
 /// A feedforward MLP.
@@ -212,11 +229,7 @@ impl Mlp {
                 let (a, b) = scratch.acts.split_at_mut(i + 1);
                 (&a[i], &mut b[0])
             };
-            layer.w.matvec_into(inp, out);
-            for (o, bias) in out.iter_mut().zip(&layer.b) {
-                *o += bias;
-            }
-            layer.act.apply(out);
+            layer.forward_row(inp, out);
         }
         scratch.acts.last().unwrap()
     }
@@ -243,7 +256,8 @@ impl Mlp {
     /// sweep + one activation sweep per layer replaces `B` scalar
     /// forwards, and every element is **bit-identical** to running
     /// [`Mlp::forward`] on the corresponding row (the kernels preserve
-    /// per-element accumulation order).
+    /// per-element accumulation order). Batches of one to three rows run
+    /// the per-sample kernels row by row, which are faster there.
     pub fn forward_batch<'s>(&self, xs: &Matrix, scratch: &'s mut BatchScratch) -> &'s Matrix {
         assert_eq!(xs.cols(), self.sizes[0], "input dimension mismatch");
         scratch.ensure_shape(self, xs.rows());
@@ -256,9 +270,15 @@ impl Mlp {
                 let (a, b) = scratch.acts.split_at_mut(i + 1);
                 (&a[i], &mut b[0])
             };
-            layer.w.matmul_into(inp, out);
-            simd::add_bias_rows(be, out.as_mut_slice(), &layer.b);
-            layer.act.apply_batch(out);
+            if xs.rows() <= PER_SAMPLE_MAX_ROWS {
+                for r in 0..xs.rows() {
+                    layer.forward_row(inp.row(r), out.row_mut(r));
+                }
+            } else {
+                layer.w.matmul_into(inp, out);
+                simd::add_bias_rows(be, out.as_mut_slice(), &layer.b);
+                layer.act.apply_batch(out);
+            }
         }
         scratch.acts.last().expect("network has layers")
     }

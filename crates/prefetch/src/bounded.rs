@@ -17,12 +17,14 @@ pub struct BoundedMap<V> {
 }
 
 impl<V> BoundedMap<V> {
-    /// Create a map bounded to `capacity` entries.
+    /// Create a map bounded to `capacity` entries. Storage grows as keys
+    /// arrive: reserving ISB's and Domino's 2^19-entry queues up front
+    /// cost every new bank four 4 MiB allocations.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Self {
             map: FxHashMap::default(),
-            order: VecDeque::with_capacity(capacity + 1),
+            order: VecDeque::new(),
             capacity,
         }
     }

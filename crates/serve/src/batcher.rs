@@ -1,7 +1,7 @@
 //! Microbatch formation: turning a session's queued commands into a
 //! drain plan of decision runs, events, and expired requests.
 //!
-//! A shard worker calls [`drain_session`] under the shard lock (it only
+//! A shard visit calls [`drain_session`] under the shard lock (it only
 //! moves queue entries — no model work, no I/O), then executes the plan
 //! with the lock released. The plan preserves the queue's stream order
 //! exactly: consecutive accesses coalesce into *runs* (each run becomes

@@ -20,8 +20,18 @@
 //! `id % shards` (infallible modulo indexing — a routing failure answers
 //! `Error`, never a silent fallback to shard 0), and EOF/error/Bye all
 //! funnel through one close path that enqueues the session's final `Bye`
-//! exactly once. No libc crate exists in the vendored workspace, so the
-//! handful of syscalls are declared directly, in the style of
+//! exactly once.
+//!
+//! The thread that read a request also decides it. After handling a
+//! whole `epoll_wait` batch, a thread drives every shard it enqueued to
+//! ([`Shard::drive`]) with its own visit buffers and weight pool, so the
+//! sessions of one batch share a visit and no request changes threads on
+//! its way to the model. The cost is that a visit holds its event loop:
+//! model work, and a bounded send stall on a client that stops reading
+//! (at most ~5 s, see [`Conn::send`]), delay the next `epoll_wait`.
+//!
+//! No libc crate exists in the vendored workspace, so the handful of
+//! syscalls are declared directly, in the style of
 //! [`crate::server::signal`]. This file is on the decision hot path
 //! (`panic-in-hot-path` scope): no panics, no literal indexing.
 
@@ -29,7 +39,7 @@ use crate::batcher::{AccessReq, SessionCmd};
 use crate::pool::SessionKey;
 use crate::protocol::{Reply, Request, MAX_FRAME};
 use crate::session::{load_checkpoint_file, ModelBuilder};
-use crate::shard::{Conn, Enqueue, Shard};
+use crate::shard::{Conn, Driver, Enqueue, Shard, VisitCfg};
 use crate::telemetry::Telemetry;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -206,6 +216,7 @@ const FAIR_READ_BYTES: usize = 64 * 1024;
 /// Shared state every event-loop thread works against.
 pub(crate) struct IoCtx {
     pub(crate) shards: Vec<Arc<Shard>>,
+    pub(crate) visit: VisitCfg,
     pub(crate) builder: ModelBuilder,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) queue_cap: usize,
@@ -254,52 +265,57 @@ impl IoMailbox {
     }
 }
 
-/// Incremental frame reassembly over a nonblocking stream: buffered
-/// bytes, with complete `[len][type][payload]` frames peeled off the
-/// front. Mirrors [`crate::protocol::read_frame`]'s validation exactly.
+/// Incremental frame reassembly over a nonblocking stream: the bytes
+/// read but not yet parsed sit in `buf[start..end]`, with complete
+/// `[len][type][payload]` frames peeled off the front. Mirrors
+/// [`crate::protocol::read_frame`]'s validation exactly. `buf` is zeroed
+/// only when it grows, and compaction moves the unparsed bytes to the
+/// front, so a read costs no memset.
 struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuf {
+    /// Free space offered to each `read(2)`.
     const READ_CHUNK: usize = 16 * 1024;
 
     fn new() -> FrameBuf {
         FrameBuf {
             buf: Vec::new(),
             start: 0,
+            end: 0,
         }
     }
 
-    /// One `read(2)` into the tail. `Ok(0)` is EOF; `WouldBlock` means
-    /// the socket is drained for now.
-    fn fill_from(&mut self, stream: &mut TcpStream) -> io::Result<usize> {
-        // Reclaim consumed front space before growing the tail.
-        if self.start > 0 && (self.start >= self.buf.len() || self.start >= Self::READ_CHUNK) {
-            self.buf.drain(..self.start);
+    /// One `read(2)` into the free tail. Returns the bytes read (`0` is
+    /// EOF) and whether they filled the space given, so more may be
+    /// waiting; `WouldBlock` means the socket is drained for now.
+    fn fill_from(&mut self, src: &mut impl Read) -> io::Result<(usize, bool)> {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        } else if self.start > 0 && self.buf.len() - self.end < Self::READ_CHUNK {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        let len = self.buf.len();
-        self.buf.resize(len + Self::READ_CHUNK, 0);
-        let tail = self.buf.get_mut(len..).unwrap_or(&mut []);
-        match stream.read(tail) {
-            Ok(n) => {
-                self.buf.truncate(len + n);
-                Ok(n)
-            }
-            Err(e) => {
-                self.buf.truncate(len);
-                Err(e)
-            }
+        if self.buf.len() - self.end < Self::READ_CHUNK {
+            self.buf.resize(self.end + Self::READ_CHUNK, 0);
         }
+        let tail = self.buf.get_mut(self.end..).unwrap_or(&mut []);
+        let space = tail.len();
+        let n = src.read(tail)?;
+        self.end += n;
+        Ok((n, n == space))
     }
 
     /// Peel the next complete frame into `payload`, returning its type
     /// byte; `Ok(None)` means more bytes are needed. Length-0 and
     /// oversized frames are protocol errors, exactly as in `read_frame`.
     fn next_frame(&mut self, payload: &mut Vec<u8>) -> io::Result<Option<u8>> {
-        let avail = self.buf.get(self.start..).unwrap_or(&[]);
+        let avail = self.buf.get(self.start..self.end).unwrap_or(&[]);
         let Some(hdr) = avail.get(..4) else {
             return Ok(None);
         };
@@ -327,10 +343,11 @@ impl FrameBuf {
 
     /// `true` when no partial frame is pending (clean EOF point).
     fn at_boundary(&self) -> bool {
-        self.start >= self.buf.len()
+        self.start == self.end
     }
 }
 
+#[derive(Clone, Copy)]
 struct SessionRef {
     id: u64,
     shard: usize,
@@ -360,6 +377,8 @@ pub(crate) fn io_loop(
         ep,
         listener,
         mailboxes,
+        driver: Driver::new(ctx.visit.clone()),
+        touched: vec![false; ctx.shards.len()],
         ctx,
         slots: Vec::new(),
         free: Vec::new(),
@@ -377,6 +396,10 @@ struct IoLoop {
     listener: Option<TcpListener>,
     mailboxes: Arc<Vec<IoMailbox>>,
     ctx: Arc<IoCtx>,
+    /// This thread's visit buffers and weight pool.
+    driver: Driver,
+    /// Shards this thread enqueued to since it last drove them.
+    touched: Vec<bool>,
     slots: Vec<Option<ConnSlot>>,
     free: Vec<usize>,
     payload: Vec<u8>,
@@ -420,8 +443,20 @@ impl IoLoop {
                     tok => self.service_conn(usize::try_from(tok).unwrap_or(usize::MAX)),
                 }
             }
+            self.drive_touched();
         }
         self.drain_all();
+        self.drive_touched();
+    }
+
+    /// Run visits on every shard this thread enqueued to, after the whole
+    /// batch so that sessions read together share a visit.
+    fn drive_touched(&mut self) {
+        for (shard, touched) in self.ctx.shards.iter().zip(self.touched.iter_mut()) {
+            if std::mem::take(touched) {
+                shard.drive(&mut self.driver, &self.ctx.telemetry);
+            }
+        }
     }
 
     /// Shutdown drain: half-close every connection's read side (parity
@@ -534,26 +569,36 @@ impl IoLoop {
         };
         self.ep.del(cs.stream.as_raw_fd());
         if !cs.said_bye {
-            if let Some(sref) = &cs.session {
-                let _ = self.enqueue_bye(sref);
+            if let Some(sref) = cs.session {
+                // Bye bypasses the queue cap by contract — it always lands.
+                let _ = self.enqueue(sref, SessionCmd::Bye);
             }
         }
         self.free.push(tok);
         self.ctx.telemetry.conn_closed();
-        // `cs.stream` (read half) drops here; `cs.conn` may outlive us in
-        // a shard worker until the session's Goodbye is flushed.
+        // `cs.stream` (read half) drops here; `cs.conn` lives on in the
+        // shard slot until the session's Goodbye is flushed.
     }
 
-    fn enqueue_bye(&self, sref: &SessionRef) -> Enqueue {
+    /// Enqueue onto the session's shard, marking the shard for driving
+    /// after this batch when the command landed.
+    fn enqueue(&mut self, sref: SessionRef, cmd: SessionCmd) -> Enqueue {
         let Some(shard) = self.ctx.shards.get(sref.shard) else {
             return Enqueue::SessionGone;
         };
-        // Bye bypasses the queue cap by contract — it always lands.
-        shard.enqueue(sref.slot, sref.id, SessionCmd::Bye, self.ctx.queue_cap)
+        let verdict = shard.enqueue(sref.slot, sref.id, cmd, self.ctx.queue_cap);
+        if verdict == Enqueue::Accepted {
+            if let Some(t) = self.touched.get_mut(sref.shard) {
+                *t = true;
+            }
+        }
+        verdict
     }
 
-    /// Readable: pull bytes, peel frames, dispatch. Caps bytes consumed
-    /// per event for fairness; level-triggered epoll re-reports leftovers.
+    /// Readable: pull bytes, peel frames, dispatch. Stops after a read
+    /// that left space unfilled (the socket is drained; there is no
+    /// trailing `WouldBlock` read) or after `FAIR_READ_BYTES`, for
+    /// fairness; level-triggered epoll re-reports anything left or later.
     fn service_conn(&mut self, tok: usize) {
         let mut consumed = 0usize;
         loop {
@@ -561,7 +606,7 @@ impl IoLoop {
                 return;
             };
             match cs.fbuf.fill_from(&mut cs.stream) {
-                Ok(0) => {
+                Ok((0, _)) => {
                     // EOF: honor any already-buffered complete frames,
                     // then flag a truncated trailer and close.
                     if !self.dispatch_frames(tok) {
@@ -578,12 +623,12 @@ impl IoLoop {
                     self.close_conn(tok);
                     return;
                 }
-                Ok(n) => {
+                Ok((n, filled)) => {
                     if !self.dispatch_frames(tok) {
                         return;
                     }
                     consumed += n;
-                    if consumed >= FAIR_READ_BYTES {
+                    if !filled || consumed >= FAIR_READ_BYTES {
                         return;
                     }
                 }
@@ -682,9 +727,9 @@ impl IoLoop {
                 }
             }
             (Ok(Request::Bye), true) => {
-                // The worker flushes the queue and answers Goodbye; mark
-                // the Bye as sent so the close path doesn't enqueue a
-                // second one.
+                // The session's visit flushes the queue and answers
+                // Goodbye; mark the Bye as sent so the close path doesn't
+                // enqueue a second one.
                 let _ = self.enqueue_for(tok, SessionCmd::Bye);
                 if let Some(cs) = self.slots.get_mut(tok).and_then(|s| s.as_mut()) {
                     cs.said_bye = true;
@@ -759,19 +804,16 @@ impl IoLoop {
         true
     }
 
-    fn enqueue_for(&self, tok: usize, cmd: SessionCmd) -> Enqueue {
+    fn enqueue_for(&mut self, tok: usize, cmd: SessionCmd) -> Enqueue {
         let Some(sref) = self
             .slots
             .get(tok)
             .and_then(|s| s.as_ref())
-            .and_then(|cs| cs.session.as_ref())
+            .and_then(|cs| cs.session)
         else {
             return Enqueue::SessionGone;
         };
-        let Some(shard) = self.ctx.shards.get(sref.shard) else {
-            return Enqueue::SessionGone;
-        };
-        shard.enqueue(sref.slot, sref.id, cmd, self.ctx.queue_cap)
+        self.enqueue(sref, cmd)
     }
 
     fn send_reply(&mut self, tok: usize, reply: &Reply) {
@@ -808,21 +850,31 @@ mod tests {
         out
     }
 
-    fn drain_ready(fb: &mut FrameBuf, stream: &mut TcpStream) -> Vec<(u8, Vec<u8>)> {
-        let mut got = Vec::new();
-        let mut payload = Vec::new();
+    fn drain_ready(fb: &mut FrameBuf, stream: &mut impl Read) -> Vec<(u8, Vec<u8>)> {
         loop {
             match fb.fill_from(stream) {
-                Ok(0) => break,
-                Ok(_) => {}
+                Ok((0, _)) | Ok((_, false)) => break,
+                Ok((_, true)) => {}
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => panic!("read: {e}"),
             }
         }
+        peel(fb)
+    }
+
+    fn peel(fb: &mut FrameBuf) -> Vec<(u8, Vec<u8>)> {
+        let mut got = Vec::new();
+        let mut payload = Vec::new();
         while let Some(ty) = fb.next_frame(&mut payload).expect("parse") {
             got.push((ty, payload.clone()));
         }
         got
+    }
+
+    /// Feed `bytes` to `fb` as one read.
+    fn feed(fb: &mut FrameBuf, bytes: &[u8]) {
+        let (n, _) = fb.fill_from(&mut &bytes[..]).expect("read from a slice");
+        assert_eq!(n, bytes.len(), "one read takes the whole feed");
     }
 
     #[test]
@@ -851,12 +903,15 @@ mod tests {
     #[test]
     fn zero_and_oversized_lengths_are_protocol_errors() {
         let mut fb = FrameBuf::new();
-        fb.buf.extend_from_slice(&0u32.to_le_bytes());
+        feed(&mut fb, &0u32.to_le_bytes());
         let mut payload = Vec::new();
         assert!(fb.next_frame(&mut payload).is_err());
 
         let mut fb = FrameBuf::new();
-        fb.buf.extend_from_slice(&(MAX_FRAME + 1).to_le_bytes());
+        feed(
+            &mut fb,
+            &u32::try_from(MAX_FRAME + 1).expect("fits").to_le_bytes(),
+        );
         assert!(fb.next_frame(&mut payload).is_err());
     }
 
@@ -864,14 +919,39 @@ mod tests {
     fn partial_frame_reports_not_at_boundary() {
         let mut fb = FrameBuf::new();
         let full = frame(0x02, b"abcdef");
-        fb.buf.extend_from_slice(full.get(..6).expect("prefix"));
+        feed(&mut fb, full.get(..6).expect("prefix"));
         let mut payload = Vec::new();
         assert_eq!(fb.next_frame(&mut payload).expect("parse"), None);
         assert!(!fb.at_boundary());
-        fb.buf.extend_from_slice(full.get(6..).expect("suffix"));
+        feed(&mut fb, full.get(6..).expect("suffix"));
         assert_eq!(fb.next_frame(&mut payload).expect("parse"), Some(0x02));
         assert_eq!(payload, b"abcdef");
         assert!(fb.at_boundary());
+    }
+
+    #[test]
+    fn a_frame_straddling_a_compaction_reads_whole() {
+        // 157 frames of 105 bytes: the first read fills the whole space
+        // it is given and ends 4 bytes into the last frame.
+        let frames: Vec<Vec<u8>> = (0..157u8).map(|i| frame(i, &[i; 100])).collect();
+        let wire = frames.concat();
+        let (head, tail) = wire.split_at(FrameBuf::READ_CHUNK);
+        let mut fb = FrameBuf::new();
+        assert_eq!(
+            fb.fill_from(&mut &head[..]).expect("read"),
+            (FrameBuf::READ_CHUNK, true),
+            "a read that fills its space says more may be waiting"
+        );
+        let mut got = peel(&mut fb);
+        assert_eq!(got.len(), 156);
+        assert!(!fb.at_boundary());
+        // The next read first moves the 4 unparsed bytes to the front.
+        assert_eq!(fb.fill_from(&mut &tail[..]).expect("read"), (101, false));
+        assert_eq!((fb.start, fb.end), (0, 105), "compacted to the front");
+        got.extend(peel(&mut fb));
+        assert!(fb.at_boundary());
+        let want: Vec<(u8, Vec<u8>)> = (0..157u8).map(|i| (i, vec![i; 100])).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! An online, batched prefetch-decision service over the ReSemble
 //! ensemble — the serving layer for the ROADMAP's production north star.
 //! Clients stream memory accesses over a length-prefixed binary protocol
-//! on plain TCP ([`protocol`]); a small pool of epoll I/O threads parses
-//! frames from nonblocking sockets (no thread per connection, and
+//! on plain TCP ([`protocol`]); a small pool of epoll event-loop threads
+//! parses frames from nonblocking sockets (no thread per connection, and
 //! per-connection state is freed the moment the socket closes); each
 //! connection is one session with its own ensemble/prefetcher state
-//! ([`session`]), pinned to a sharded worker thread ([`shard`]). Workers
-//! microbatch whatever a session has queued — up to `max_batch` — into
-//! single `Mlp::forward_batch` decision windows ([`batcher`],
+//! ([`session`]), partitioned across shards ([`shard`]). After each
+//! `epoll_wait` batch, the thread that read the requests microbatches
+//! whatever a session has queued — up to `max_batch` — into single
+//! `Mlp::forward_batch` decision windows ([`batcher`],
 //! `ResembleMlp::on_access_window`), and additionally pool frozen
 //! same-`(model, seed, fast)` sessions into one shared forward per visit
 //! ([`pool`]), which keeps the PR-3 GEMM kernels on the serving hot path

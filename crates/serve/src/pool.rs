@@ -3,17 +3,17 @@
 //!
 //! Sessions built from the same Hello triple `(model, seed, fast)` with a
 //! *frozen* agent have bit-identical inference weights — they were
-//! constructed from the same seed and never train — so a shard worker can
+//! constructed from the same seed and never train — so a shard visit can
 //! stack their prepared window states into one matrix and take one
 //! `Mlp::forward_batch` for all of them. The batch kernels preserve
 //! per-element accumulation order (each output row depends only on its
 //! input row), so every session's Q rows are bit-identical to a forward
 //! through its own network: pooling changes throughput, never decisions.
 //!
-//! The pool itself is worker-local (no locks): a tiny LRU of cloned
-//! inference networks keyed by [`SessionKey`], plus the reusable batch
-//! scratch for each. Per-session learned state never enters the pool —
-//! only the frozen weights are shared.
+//! Each event-loop thread owns its own pool (no locks): a tiny LRU of
+//! cloned inference networks keyed by [`SessionKey`], plus the reusable
+//! batch scratch for each. Per-session learned state never enters the
+//! pool — only the frozen weights are shared.
 //!
 //! This file is on the decision hot path (`panic-in-hot-path` scope): no
 //! panics, no literal indexing.
@@ -44,7 +44,7 @@ struct PoolEntry {
     last_used: u64,
 }
 
-/// A worker-local cache of frozen inference networks keyed by
+/// A thread-local cache of frozen inference networks keyed by
 /// [`SessionKey`], evicting least-recently-used entries beyond `cap`.
 ///
 /// In quantized mode each entry additionally caches a per-row symmetric

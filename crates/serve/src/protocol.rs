@@ -340,9 +340,12 @@ impl Reply {
             T_DECISION => {
                 let req_id = c.u32()?;
                 let n = c.u16()? as usize;
+                // Take the addresses' bytes before sizing the vector, so a
+                // count the payload does not back allocates nothing.
+                let mut addrs = Cur::new(c.take(n * 8)?);
                 let mut prefetches = Vec::with_capacity(n);
                 for _ in 0..n {
-                    prefetches.push(c.u64()?);
+                    prefetches.push(addrs.u64()?);
                 }
                 Reply::Decision { req_id, prefetches }
             }

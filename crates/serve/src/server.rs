@@ -1,25 +1,27 @@
-//! The server: epoll I/O threads, shard worker threads, periodic
-//! telemetry snapshots, and graceful drain.
+//! The server: epoll event-loop threads, periodic telemetry snapshots,
+//! and graceful drain.
 //!
-//! Thread model (DESIGN.md §8): a small fixed pool of I/O threads each
-//! runs a nonblocking epoll event loop (`event_loop.rs`); thread 0
-//! owns the listener and hands accepted connections round-robin to its
-//! peers through eventfd-backed mailboxes. Connection state (frame
+//! Thread model (DESIGN.md §8): a small fixed pool of event-loop threads
+//! (`io_threads`) each runs a nonblocking epoll loop (`event_loop.rs`);
+//! thread 0 owns the listener and hands accepted connections round-robin
+//! to its peers through eventfd-backed mailboxes. Connection state (frame
 //! reassembly buffer, session binding) lives in a per-thread slab keyed
 //! by the epoll token, and is removed the moment the connection closes —
 //! there is no per-connection thread and no grow-only registry to leak.
-//! One worker per shard executes batched decision windows, pooling
-//! same-key frozen sessions through a single shared forward.
+//! There are no worker threads either: after each `epoll_wait` batch, a
+//! loop runs the batched decision windows of every shard it enqueued to,
+//! pooling same-key frozen sessions through a single shared forward. The
+//! only other thread is the snapshotter, when one is configured.
 //!
-//! Shutdown is a drain, not an abort: wake every I/O thread, which stops
-//! accepting, half-closes every connection (`shutdown(SHUT_RD)`), parses
-//! whatever already arrived, and enqueues a final `Bye` per session; then
-//! workers flush every queue — every in-flight request gets a `Decision`
-//! or `TimedOut` reply before the process exits with a final snapshot.
+//! Shutdown is a drain, not an abort: wake every event-loop thread, which
+//! stops accepting, half-closes every connection (`shutdown(SHUT_RD)`),
+//! enqueues a final `Bye` per session, and drives its shards until their
+//! queues are empty — every in-flight request gets a `Decision` or
+//! `TimedOut` reply before the process exits with a final snapshot.
 
 use crate::event_loop::{io_loop, IoCtx, IoMailbox};
 use crate::session::ModelBuilder;
-use crate::shard::{Shard, WorkerCfg};
+use crate::shard::{Shard, VisitCfg};
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -34,7 +36,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (tests/bench).
     pub addr: String,
-    /// Shard (worker thread) count.
+    /// Shard count: sessions are partitioned `id % shards`, and a pooled
+    /// window draws only on one shard's sessions.
     pub shards: usize,
     /// Maximum decision requests drained per session visit — the upper
     /// bound of the microbatch window. 1 forces batch-of-1 serving.
@@ -46,10 +49,11 @@ pub struct ServeConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Interval between periodic snapshots.
     pub snapshot_every: Duration,
-    /// Epoll I/O thread count (thread 0 additionally owns the listener).
+    /// Epoll event-loop thread count (thread 0 additionally owns the
+    /// listener); these threads also run every decision window.
     pub io_threads: usize,
     /// Batch decision windows across same-key frozen sessions into one
-    /// shared forward per shard visit.
+    /// shared forward per visit.
     pub cross_session: bool,
     /// Row cap of one cross-session pooled window.
     pub pool_rows: usize,
@@ -88,13 +92,10 @@ pub struct Server {
     addr: SocketAddr,
     cfg: ServeConfig,
     shutdown: Arc<AtomicBool>,
-    input_closed: Arc<AtomicBool>,
     snap_stop: Arc<AtomicBool>,
     telemetry: Arc<Telemetry>,
-    shards: Vec<Arc<Shard>>,
     mailboxes: Arc<Vec<IoMailbox>>,
     io_threads: Vec<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     snapshotter: Option<JoinHandle<()>>,
 }
 
@@ -108,30 +109,9 @@ impl Server {
 
         let telemetry = Arc::new(Telemetry::new());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let input_closed = Arc::new(AtomicBool::new(false));
         let snap_stop = Arc::new(AtomicBool::new(false));
         let n_shards = cfg.shards.max(1);
         let shards: Vec<Arc<Shard>> = (0..n_shards).map(|_| Shard::new()).collect();
-
-        let worker_cfg = WorkerCfg {
-            max_batch: cfg.max_batch.max(1),
-            cross_session: cfg.cross_session,
-            pool_rows: cfg.pool_rows.max(1),
-            checkpoint_dir: cfg.checkpoint_dir.clone(),
-            quantize_frozen: cfg.quantize_frozen,
-        };
-        let workers = shards
-            .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
-                let input_closed = Arc::clone(&input_closed);
-                let telemetry = Arc::clone(&telemetry);
-                let worker_cfg = worker_cfg.clone();
-                std::thread::spawn(move || {
-                    shard.worker_loop(&input_closed, &telemetry, &worker_cfg)
-                })
-            })
-            .collect();
 
         let n_io = cfg.io_threads.max(1);
         let mailboxes: Arc<Vec<IoMailbox>> = Arc::new(
@@ -140,7 +120,14 @@ impl Server {
                 .collect::<std::io::Result<Vec<_>>>()?,
         );
         let ctx = Arc::new(IoCtx {
-            shards: shards.clone(),
+            shards,
+            visit: VisitCfg {
+                max_batch: cfg.max_batch.max(1),
+                cross_session: cfg.cross_session,
+                pool_rows: cfg.pool_rows.max(1),
+                checkpoint_dir: cfg.checkpoint_dir.clone(),
+                quantize_frozen: cfg.quantize_frozen,
+            },
             builder,
             telemetry: Arc::clone(&telemetry),
             queue_cap: cfg.queue_cap.max(1),
@@ -169,13 +156,10 @@ impl Server {
             addr,
             cfg,
             shutdown,
-            input_closed,
             snap_stop,
             telemetry,
-            shards,
             mailboxes,
             io_threads,
-            workers,
             snapshotter,
         })
     }
@@ -205,22 +189,14 @@ impl Server {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// Graceful drain: wake and join the I/O threads (each half-closes its
-    /// connections, parses residual input, and enqueues a final `Bye` per
-    /// session), flush every shard queue, stop the snapshotter, and return
-    /// the final telemetry snapshot (also appended to the JSONL file when
-    /// one is configured).
+    /// Graceful drain: wake and join the event-loop threads (each
+    /// half-closes its connections, enqueues a final `Bye` per session,
+    /// and drives its shards until their queues are empty), stop the
+    /// snapshotter, and return the final telemetry snapshot (also
+    /// appended to the JSONL file when one is configured).
     pub fn shutdown(mut self) -> TelemetrySnapshot {
         self.request_shutdown();
         for h in self.io_threads.drain(..) {
-            let _ = h.join();
-        }
-        // All I/O threads are gone: no more enqueues. Workers drain to empty.
-        self.input_closed.store(true, Ordering::Release);
-        for shard in &self.shards {
-            shard.notify();
-        }
-        for h in self.workers.drain(..) {
             let _ = h.join();
         }
         self.snap_stop.store(true, Ordering::Release);

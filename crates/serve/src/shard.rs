@@ -1,16 +1,23 @@
-//! Sharded session workers: slab-allocated sessions, a readiness queue,
+//! Sharded sessions: slab-allocated sessions, a readiness queue,
 //! cross-session pooled decision windows, and checkpoint-on-retire.
 //!
-//! Sessions are assigned to a shard by `session_id % n_shards`; each
-//! shard has exactly one worker thread, which is what serializes all
-//! model access for a session (replies go out in stream order, no model
-//! locking). Sessions live in a slab (`Vec<Option<Slot>>` plus a free
-//! list) addressed by slot index — enqueues are O(1) instead of a linear
-//! id scan, and retired slots are recycled immediately. A readiness
-//! queue replaces the round-robin cursor: a session is queued exactly
-//! when it has commands pending, so the worker never scans idle slots.
+//! Sessions are assigned to a shard by `session_id % n_shards`. A shard
+//! has no thread of its own: after each `epoll_wait` batch, the
+//! event-loop thread that enqueued commands runs visits on the shard
+//! (`Shard::drive`) until its readiness queue is empty. A `driving`
+//! flag under the shard lock lets one thread drive a shard at a time,
+//! which is what serializes all model access for a session (replies go
+//! out in stream order, no model locking). A thread that finds the flag
+//! set returns at once: the driver re-checks the readiness queue under
+//! the lock before it clears the flag, so a command enqueued meanwhile is
+//! never stranded. Each event-loop thread brings its own visit buffers
+//! and [`WeightPool`] (`Driver`). Sessions live in a slab
+//! (`Vec<Option<Slot>>` plus a free list) addressed by slot index —
+//! enqueues are O(1) instead of a linear id scan, and retired slots are
+//! recycled immediately. A session is in the readiness queue exactly when
+//! it has commands pending, so a visit never scans idle slots.
 //!
-//! A worker visit drains one ready session, and — when that session is
+//! A visit drains one ready session, and — when that session is
 //! *pool-eligible* (frozen MLP) and cross-session batching is on — steals
 //! every other ready session with the same [`SessionKey`] in the same
 //! pass. All their decision windows run phase A (`window_prepare`)
@@ -23,12 +30,15 @@
 //! and all non-frozen sessions, take the classic per-session path in the
 //! same visit.
 //!
-//! On a `Bye` the worker flushes the queue, answers `Goodbye`, optionally
+//! On a `Bye` the visit flushes the queue, answers `Goodbye`, optionally
 //! checkpoints the model (warm restart for the next same-key Hello), and
-//! frees the slot. This file is on the decision hot path
-//! (`panic-in-hot-path` scope): no panics, no literal indexing; poisoned
-//! locks are re-entered because a panicked peer thread must not take the
-//! server down.
+//! frees the slot. Visits run on the epoll thread, so this file is in the
+//! `blocking-in-event-loop` scope: the shard lock only moves queue
+//! entries, and [`Conn::send`]'s stall on a client that stops reading is
+//! bounded (~5 s, then `TimedOut`) but holds the event loop while it
+//! lasts. It is also on the decision hot path (`panic-in-hot-path`
+//! scope): no panics, no literal indexing; poisoned locks are re-entered
+//! because a panicked peer thread must not take the server down.
 
 use crate::batcher::{drain_session, DrainPlan, PlanOp, SessionCmd};
 use crate::pool::{SessionKey, WeightPool};
@@ -41,8 +51,7 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Consecutive `WouldBlock` stalls (at ~200µs each) tolerated on one
@@ -50,11 +59,12 @@ use std::time::{Duration, Instant};
 const MAX_SEND_STALLS: u32 = 25_000;
 
 /// The write half of a client connection, shared between the event-loop
-/// thread (Accepted/Busy/Error replies) and the shard worker (Decision/
-/// TimedOut/Goodbye replies). Each `send` is one logical write of a batch
-/// of pre-encoded frames, so reply syscalls amortize across a whole
-/// drain. The underlying fd is a dup of the event loop's nonblocking
-/// socket, so short writes and `WouldBlock` are retried here.
+/// thread that owns the connection (Accepted/Busy/Error replies) and
+/// whichever event-loop thread drives its shard (Decision/TimedOut/
+/// Goodbye replies). Each `send` is one logical write of a batch of
+/// pre-encoded frames, so reply syscalls amortize across a whole visit.
+/// The underlying fd is a dup of the event loop's nonblocking socket, so
+/// short writes and `WouldBlock` are retried here.
 pub struct Conn {
     stream: Mutex<TcpStream>,
 }
@@ -69,12 +79,14 @@ impl Conn {
 
     /// Write a batch of pre-encoded frames atomically with respect to
     /// other senders on this connection. Blocks (bounded) on a client
-    /// that has stopped reading; a client gone longer than ~5 s of
-    /// backpressure gets `TimedOut` and its session drains without it.
+    /// that has stopped reading, and with it the calling event loop; a
+    /// client gone longer than ~5 s of backpressure gets `TimedOut` and
+    /// its session drains without it.
     pub fn send(&self, bytes: &[u8]) -> io::Result<()> {
         if bytes.is_empty() {
             return Ok(());
         }
+        // lint:allow(blocking-in-event-loop): held for one send, whose stall is bounded at ~5 s (then TimedOut)
         let mut g = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         let mut sent = 0usize;
         let mut stalls = 0u32;
@@ -98,6 +110,7 @@ impl Conn {
                             "client not reading replies",
                         ));
                     }
+                    // lint:allow(blocking-in-event-loop): at most MAX_SEND_STALLS sleeps (~5 s), then TimedOut
                     std::thread::sleep(Duration::from_micros(200));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -111,7 +124,7 @@ impl Conn {
 /// Outcome of enqueueing a command onto a session's bounded queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Enqueue {
-    /// Queued; the worker was notified.
+    /// Queued; the enqueuing thread drives the shard after its batch.
     Accepted,
     /// Queue full: the request must be answered with `Busy`.
     Busy,
@@ -121,9 +134,9 @@ pub enum Enqueue {
     SessionGone,
 }
 
-/// Worker tuning, shared by every shard worker of a server.
+/// Visit tuning, shared by every event-loop thread of a server.
 #[derive(Debug, Clone)]
-pub struct WorkerCfg {
+pub(crate) struct VisitCfg {
     /// Maximum decision requests drained per session per visit.
     pub max_batch: usize,
     /// Batch decision windows across same-key frozen sessions.
@@ -138,7 +151,7 @@ pub struct WorkerCfg {
     pub quantize_frozen: bool,
 }
 
-impl Default for WorkerCfg {
+impl Default for VisitCfg {
     fn default() -> Self {
         Self {
             max_batch: 64,
@@ -152,7 +165,7 @@ impl Default for WorkerCfg {
 
 struct Slot {
     id: u64,
-    /// `None` while the worker has the model checked out.
+    /// `None` while a visit has the model checked out.
     model: Option<SessionModel>,
     queue: VecDeque<SessionCmd>,
     conn: Arc<Conn>,
@@ -167,18 +180,18 @@ struct Inner {
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
     /// Slot indices with pending commands, in arrival order. Invariant:
-    /// at worker-pick time, every slot with a non-empty queue is here.
+    /// at visit-pick time, every slot with a non-empty queue is here.
     ready: VecDeque<usize>,
+    /// `true` while a thread is driving this shard.
+    driving: bool,
 }
 
-/// One shard: its session slab, the readiness queue, and the condvar its
-/// worker sleeps on.
+/// One shard: its session slab and the readiness queue.
 pub struct Shard {
     inner: Mutex<Inner>,
-    cv: Condvar,
 }
 
-/// A session checked out of its slot for one worker visit.
+/// A session checked out of its slot for one visit.
 struct VisitEntry {
     slot: usize,
     id: u64,
@@ -207,7 +220,7 @@ fn checkout(
     g: &mut Inner,
     idx: usize,
     now: Instant,
-    cfg: &WorkerCfg,
+    cfg: &VisitCfg,
     spare: &mut Vec<DrainPlan>,
 ) -> Option<VisitEntry> {
     let slot = g.slots.get_mut(idx).and_then(|s| s.as_mut())?;
@@ -238,12 +251,13 @@ impl Shard {
                 slots: Vec::new(),
                 free: Vec::new(),
                 ready: VecDeque::new(),
+                driving: false,
             }),
-            cv: Condvar::new(),
         })
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
+        // lint:allow(blocking-in-event-loop): every critical section only moves queue entries and slots, never models or I/O
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -268,6 +282,7 @@ impl Shard {
             pool_eligible,
             key,
         };
+        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
         let mut g = self.lock();
         match g.free.pop() {
             Some(i) => {
@@ -288,6 +303,7 @@ impl Shard {
     /// events are dropped. `Bye` always lands even on a full queue — a
     /// bounced Bye would leak the slot (and its model) forever.
     pub fn enqueue(&self, slot: usize, id: u64, cmd: SessionCmd, cap: usize) -> Enqueue {
+        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
         let mut g = self.lock();
         let Some(s) = g.slots.get_mut(slot).and_then(|s| s.as_mut()) else {
             return Enqueue::SessionGone;
@@ -312,16 +328,7 @@ impl Shard {
         if mark_ready {
             g.ready.push_back(slot);
         }
-        drop(g);
-        if verdict == Enqueue::Accepted {
-            self.cv.notify_one();
-        }
         verdict
-    }
-
-    /// Wake the worker (used during shutdown to re-check exit conditions).
-    pub fn notify(&self) {
-        self.cv.notify_all();
     }
 
     /// Pop the next ready slot that still exists and has pending work.
@@ -346,7 +353,7 @@ impl Shard {
         g: &mut Inner,
         key: &SessionKey,
         now: Instant,
-        cfg: &WorkerCfg,
+        cfg: &VisitCfg,
         spare: &mut Vec<DrainPlan>,
         entries: &mut Vec<VisitEntry>,
         keep: &mut VecDeque<usize>,
@@ -381,47 +388,33 @@ impl Shard {
         std::mem::swap(&mut g.ready, keep);
     }
 
-    /// The shard worker loop: runs until `input_closed` is set *and* the
-    /// readiness queue is drained. The event loop guarantees a `Bye` is
-    /// enqueued for every session before `input_closed`, so by exit all
-    /// sessions have been flushed, answered, and their slots freed.
-    pub fn worker_loop(
-        self: &Arc<Self>,
-        input_closed: &AtomicBool,
-        telemetry: &Telemetry,
-        cfg: &WorkerCfg,
-    ) {
-        let mut pool = WeightPool::new(8).quantized(cfg.quantize_frozen);
-        let mut entries: Vec<VisitEntry> = Vec::new();
-        let mut spare_plans: Vec<DrainPlan> = Vec::new();
-        let mut keep: VecDeque<usize> = VecDeque::new();
-        let mut acc_buf: Vec<(MemAccess, bool)> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
-        let mut out_buf: Vec<u8> = Vec::new();
-        let mut states = Matrix::default();
-        let mut q = Matrix::default();
-        let mut q_own = Matrix::default();
+    /// Run visits until the readiness queue is empty. Returns at once
+    /// when another thread is driving this shard: that driver finds the
+    /// caller's commands when it re-checks the queue, under the lock,
+    /// before it clears the `driving` flag.
+    pub(crate) fn drive(&self, d: &mut Driver, telemetry: &Telemetry) {
+        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
+        let mut g = self.lock();
+        if g.driving {
+            return;
+        }
+        g.driving = true;
+        drop(g);
         loop {
             // Pick and check out this visit's sessions under the lock;
             // all model work and socket I/O happen with it released.
             let now = Instant::now();
+            // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
             let mut g = self.lock();
             let Some(first_idx) = Self::pop_ready(&mut g) else {
-                if input_closed.load(Ordering::Acquire) && g.ready.is_empty() {
-                    return;
-                }
-                let (g, _) = match self.cv.wait_timeout(g, Duration::from_millis(20)) {
-                    Ok(pair) => pair,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                drop(g);
+                g.driving = false;
+                return;
+            };
+            let Some(first) = checkout(&mut g, first_idx, now, &d.cfg, &mut d.spare_plans) else {
                 continue;
             };
-            let Some(first) = checkout(&mut g, first_idx, now, cfg, &mut spare_plans) else {
-                continue;
-            };
-            entries.clear();
-            let pool_key = (cfg.cross_session && first.pooled)
+            d.entries.clear();
+            let pool_key = (d.cfg.cross_session && first.pooled)
                 .then(|| {
                     g.slots
                         .get(first_idx)
@@ -429,181 +422,26 @@ impl Shard {
                         .map(|s| s.key.clone())
                 })
                 .flatten();
-            entries.push(first);
+            d.entries.push(first);
             if let Some(key) = &pool_key {
                 Self::gather_pooled(
                     &mut g,
                     key,
                     now,
-                    cfg,
-                    &mut spare_plans,
-                    &mut entries,
-                    &mut keep,
+                    &d.cfg,
+                    &mut d.spare_plans,
+                    &mut d.entries,
+                    &mut d.keep,
                 );
             }
             drop(g);
 
-            // Phase A + B of the pooled window: per-session prepare into
-            // one stacked state matrix, then a single shared forward.
-            let pooled_rows: usize = entries
-                .iter()
-                .filter(|e| e.pooled)
-                .map(|e| e.plan.run.len())
-                .sum();
-            let pooled_sessions = entries.iter().filter(|e| e.pooled).count();
-            let mut prepared = false;
-            let mut pooled_ok = false;
-            if pool_key.is_some() && pooled_rows > 0 {
-                let dim = entries
-                    .first()
-                    .and_then(|e| e.model.inference_net())
-                    .map(|n| n.input_dim())
-                    .unwrap_or(0);
-                if dim > 0 {
-                    prepared = true;
-                    states.resize(pooled_rows, dim);
-                    let mut row = 0usize;
-                    for e in entries.iter_mut().filter(|e| e.pooled) {
-                        e.row0 = row;
-                        acc_buf.clear();
-                        acc_buf.extend(e.plan.run.iter().map(|r| (r.access, r.hit)));
-                        if let Some(st) = e.model.window_prepare(&acc_buf) {
-                            for k in 0..st.rows() {
-                                states.row_mut(row + k).copy_from_slice(st.row(k));
-                            }
-                        }
-                        row += e.plan.run.len();
-                    }
-                    pooled_ok = match (&pool_key, entries.first()) {
-                        (Some(key), Some(e)) => pool.forward_into(key, &e.model, &states, &mut q),
-                        _ => false,
-                    };
-                    if pooled_ok {
-                        telemetry.batch(pooled_rows);
-                        if pooled_sessions >= 2 {
-                            telemetry.pool_batch(pooled_sessions);
-                        }
-                        if pool.quantize_enabled() {
-                            telemetry.quantized_window(pooled_sessions);
-                        }
-                    }
-                }
-            }
-            if !prepared {
-                // Nothing was prepared: the classic per-session path is
-                // still safe for everyone.
-                for e in entries.iter_mut() {
-                    e.pooled = false;
-                }
-            }
-
-            // Phase C / classic execution, replies, and one socket write
-            // per session.
-            for e in entries.iter_mut() {
-                let VisitEntry {
-                    id,
-                    conn,
-                    model,
-                    plan,
-                    pooled,
-                    row0,
-                    prior,
-                    served,
-                    ckpt_key,
-                    ..
-                } = e;
-                out_buf.clear();
-                let mut n_served = 0u64;
-                if *pooled {
-                    let reqs = &plan.run;
-                    acc_buf.clear();
-                    acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
-                    counts.clear();
-                    if pooled_ok {
-                        model.window_commit(&acc_buf, &q, *row0, |k, issued| {
-                            if let Some(r) = reqs.get(k) {
-                                encode_decision_into(&mut out_buf, r.req_id, issued);
-                            }
-                            counts.push(issued.len());
-                        });
-                    } else {
-                        // Defensive fallback: forward through the
-                        // session's own (identical) frozen weights.
-                        model.window_forward(&mut q_own);
-                        model.window_commit(&acc_buf, &q_own, 0, |k, issued| {
-                            if let Some(r) = reqs.get(k) {
-                                encode_decision_into(&mut out_buf, r.req_id, issued);
-                            }
-                            counts.push(issued.len());
-                        });
-                        telemetry.batch(reqs.len());
-                    }
-                    let done = Instant::now();
-                    for (r, c) in reqs.iter().zip(counts.iter()) {
-                        let us = done.saturating_duration_since(r.enqueued).as_micros();
-                        telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
-                    }
-                    n_served = reqs.len() as u64;
-                } else {
-                    // Classic path: events apply in stream order, each
-                    // run is its own batched decision window.
-                    for op in &plan.ops {
-                        match *op {
-                            PlanOp::Event { kind, addr } => {
-                                model.on_event(kind, addr);
-                                telemetry.event();
-                            }
-                            PlanOp::Run { start, len } => {
-                                let reqs = plan.run.get(start..start + len).unwrap_or(&[]);
-                                acc_buf.clear();
-                                acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
-                                counts.clear();
-                                model.on_run(&acc_buf, |k, issued| {
-                                    if let Some(r) = reqs.get(k) {
-                                        encode_decision_into(&mut out_buf, r.req_id, issued);
-                                    }
-                                    counts.push(issued.len());
-                                });
-                                let done = Instant::now();
-                                for (r, c) in reqs.iter().zip(counts.iter()) {
-                                    let us = done.saturating_duration_since(r.enqueued).as_micros();
-                                    telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
-                                }
-                                telemetry.batch(reqs.len());
-                                n_served += reqs.len() as u64;
-                            }
-                        }
-                    }
-                }
-                for r in &plan.timed_out {
-                    Reply::TimedOut { req_id: r.req_id }.encode_into(&mut out_buf);
-                    telemetry.timeout();
-                }
-                if plan.saw_bye {
-                    Reply::Goodbye {
-                        decisions: *prior + n_served,
-                    }
-                    .encode_into(&mut out_buf);
-                }
-                // Checkpoint a retiring session *before* its Goodbye is
-                // visible: a client that reconnects the instant it sees
-                // the reply must find the file (file I/O stays outside
-                // the shard lock).
-                if let (Some(k), Some(dir)) = (ckpt_key.as_ref(), cfg.checkpoint_dir.as_deref()) {
-                    if save_checkpoint_file(dir, &k.model, k.seed, k.fast, *id, model) {
-                        telemetry.checkpoint_saved();
-                    }
-                }
-                // One socket write for the session's whole visit; a
-                // vanished client is the client's problem, the session
-                // still drains.
-                let _ = conn.send(&out_buf);
-                *served = n_served;
-            }
+            d.visit(pool_key.as_ref(), telemetry);
 
             // Return models (or retire on Bye) and recycle plans.
+            // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
             let mut g = self.lock();
-            for mut e in entries.drain(..) {
+            for mut e in d.entries.drain(..) {
                 let plan = std::mem::replace(&mut e.plan, DrainPlan::new());
                 if let Some(slot_opt) = g.slots.get_mut(e.slot) {
                     if slot_opt.as_ref().is_some_and(|s| s.id == e.id) {
@@ -621,8 +459,219 @@ impl Shard {
                         }
                     }
                 }
-                spare_plans.push(plan);
+                d.spare_plans.push(plan);
             }
+            drop(g);
+        }
+    }
+}
+
+/// One event-loop thread's visit state: its own [`WeightPool`] and the
+/// buffers every visit reuses. Never shared between threads.
+pub(crate) struct Driver {
+    cfg: VisitCfg,
+    pool: WeightPool,
+    entries: Vec<VisitEntry>,
+    spare_plans: Vec<DrainPlan>,
+    keep: VecDeque<usize>,
+    acc_buf: Vec<(MemAccess, bool)>,
+    counts: Vec<usize>,
+    out_buf: Vec<u8>,
+    states: Matrix,
+    q: Matrix,
+    q_own: Matrix,
+}
+
+impl Driver {
+    /// Empty buffers and an empty pool for `cfg`.
+    pub(crate) fn new(cfg: VisitCfg) -> Driver {
+        Driver {
+            pool: WeightPool::new(8).quantized(cfg.quantize_frozen),
+            cfg,
+            entries: Vec::new(),
+            spare_plans: Vec::new(),
+            keep: VecDeque::new(),
+            acc_buf: Vec::new(),
+            counts: Vec::new(),
+            out_buf: Vec::new(),
+            states: Matrix::default(),
+            q: Matrix::default(),
+            q_own: Matrix::default(),
+        }
+    }
+
+    /// Execute the checked-out `entries`: the pooled window's shared
+    /// forward when `pool_key` is set, each session's commit or classic
+    /// runs, and one socket write per session.
+    fn visit(&mut self, pool_key: Option<&SessionKey>, telemetry: &Telemetry) {
+        let Driver {
+            cfg,
+            pool,
+            entries,
+            acc_buf,
+            counts,
+            out_buf,
+            states,
+            q,
+            q_own,
+            ..
+        } = self;
+        // Phase A + B of the pooled window: per-session prepare into
+        // one stacked state matrix, then a single shared forward.
+        let pooled_rows: usize = entries
+            .iter()
+            .filter(|e| e.pooled)
+            .map(|e| e.plan.run.len())
+            .sum();
+        let pooled_sessions = entries.iter().filter(|e| e.pooled).count();
+        let mut prepared = false;
+        let mut pooled_ok = false;
+        if pool_key.is_some() && pooled_rows > 0 {
+            let dim = entries
+                .first()
+                .and_then(|e| e.model.inference_net())
+                .map(|n| n.input_dim())
+                .unwrap_or(0);
+            if dim > 0 {
+                prepared = true;
+                states.resize(pooled_rows, dim);
+                let mut row = 0usize;
+                for e in entries.iter_mut().filter(|e| e.pooled) {
+                    e.row0 = row;
+                    acc_buf.clear();
+                    acc_buf.extend(e.plan.run.iter().map(|r| (r.access, r.hit)));
+                    if let Some(st) = e.model.window_prepare(acc_buf) {
+                        for k in 0..st.rows() {
+                            states.row_mut(row + k).copy_from_slice(st.row(k));
+                        }
+                    }
+                    row += e.plan.run.len();
+                }
+                pooled_ok = match (pool_key, entries.first()) {
+                    (Some(key), Some(e)) => pool.forward_into(key, &e.model, states, q),
+                    _ => false,
+                };
+                if pooled_ok {
+                    telemetry.batch(pooled_rows);
+                    if pooled_sessions >= 2 {
+                        telemetry.pool_batch(pooled_sessions);
+                    }
+                    if pool.quantize_enabled() {
+                        telemetry.quantized_window(pooled_sessions);
+                    }
+                }
+            }
+        }
+        if !prepared {
+            // Nothing was prepared: the classic per-session path is
+            // still safe for everyone.
+            for e in entries.iter_mut() {
+                e.pooled = false;
+            }
+        }
+
+        // Phase C / classic execution, replies, and one socket write
+        // per session.
+        for e in entries.iter_mut() {
+            let VisitEntry {
+                id,
+                conn,
+                model,
+                plan,
+                pooled,
+                row0,
+                prior,
+                served,
+                ckpt_key,
+                ..
+            } = e;
+            out_buf.clear();
+            let mut n_served = 0u64;
+            if *pooled {
+                let reqs = &plan.run;
+                acc_buf.clear();
+                acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
+                counts.clear();
+                if pooled_ok {
+                    model.window_commit(acc_buf, q, *row0, |k, issued| {
+                        if let Some(r) = reqs.get(k) {
+                            encode_decision_into(out_buf, r.req_id, issued);
+                        }
+                        counts.push(issued.len());
+                    });
+                } else {
+                    // Defensive fallback: forward through the
+                    // session's own (identical) frozen weights.
+                    model.window_forward(q_own);
+                    model.window_commit(acc_buf, q_own, 0, |k, issued| {
+                        if let Some(r) = reqs.get(k) {
+                            encode_decision_into(out_buf, r.req_id, issued);
+                        }
+                        counts.push(issued.len());
+                    });
+                    telemetry.batch(reqs.len());
+                }
+                let done = Instant::now();
+                for (r, c) in reqs.iter().zip(counts.iter()) {
+                    let us = done.saturating_duration_since(r.enqueued).as_micros();
+                    telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
+                }
+                n_served = reqs.len() as u64;
+            } else {
+                // Classic path: events apply in stream order, each
+                // run is its own batched decision window.
+                for op in &plan.ops {
+                    match *op {
+                        PlanOp::Event { kind, addr } => {
+                            model.on_event(kind, addr);
+                            telemetry.event();
+                        }
+                        PlanOp::Run { start, len } => {
+                            let reqs = plan.run.get(start..start + len).unwrap_or(&[]);
+                            acc_buf.clear();
+                            acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
+                            counts.clear();
+                            model.on_run(acc_buf, |k, issued| {
+                                if let Some(r) = reqs.get(k) {
+                                    encode_decision_into(out_buf, r.req_id, issued);
+                                }
+                                counts.push(issued.len());
+                            });
+                            let done = Instant::now();
+                            for (r, c) in reqs.iter().zip(counts.iter()) {
+                                let us = done.saturating_duration_since(r.enqueued).as_micros();
+                                telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
+                            }
+                            telemetry.batch(reqs.len());
+                            n_served += reqs.len() as u64;
+                        }
+                    }
+                }
+            }
+            for r in &plan.timed_out {
+                Reply::TimedOut { req_id: r.req_id }.encode_into(out_buf);
+                telemetry.timeout();
+            }
+            if plan.saw_bye {
+                Reply::Goodbye {
+                    decisions: *prior + n_served,
+                }
+                .encode_into(out_buf);
+            }
+            // Checkpoint a retiring session *before* its Goodbye is
+            // visible: a client that reconnects the instant it sees
+            // the reply must find the file (file I/O stays outside
+            // the shard lock).
+            if let (Some(k), Some(dir)) = (ckpt_key.as_ref(), cfg.checkpoint_dir.as_deref()) {
+                if save_checkpoint_file(dir, &k.model, k.seed, k.fast, *id, model) {
+                    telemetry.checkpoint_saved();
+                }
+            }
+            // One socket write for the session's whole visit; a
+            // vanished client is the client's problem, the session
+            // still drains.
+            let _ = conn.send(out_buf);
+            *served = n_served;
         }
     }
 }
@@ -695,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn worker_drains_to_exit_after_input_closed() {
+    fn drive_returns_once_the_ready_queue_is_empty() {
         let shard = Shard::new();
         let (conn, client) = loopback_conn();
         let model = SessionModel::build("stride", 2, true).expect("builds");
@@ -708,13 +757,12 @@ mod tests {
             Enqueue::Accepted
         );
         let telemetry = Telemetry::new();
-        let input_closed = AtomicBool::new(true);
-        let cfg = WorkerCfg {
+        let cfg = VisitCfg {
             max_batch: 4,
-            ..WorkerCfg::default()
+            ..VisitCfg::default()
         };
         // Runs on this thread: must terminate once the queue is flushed.
-        shard.worker_loop(&input_closed, &telemetry, &cfg);
+        shard.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 10);
         assert_eq!(s.sessions_closed, 1);
@@ -723,11 +771,37 @@ mod tests {
     }
 
     #[test]
-    fn bye_bypasses_full_queue_and_worker_retires_the_session() {
+    fn a_shard_has_one_driver_at_a_time() {
+        let shard = Shard::new();
+        let (conn, client) = loopback_conn();
+        let model = SessionModel::build("stride", 2, true).expect("builds");
+        let slot = shard.register(1, model, conn, key("stride", 2));
+        for i in 0..3 {
+            assert_eq!(shard.enqueue(slot, 1, access(i), 64), Enqueue::Accepted);
+        }
+        let telemetry = Telemetry::new();
+        let mut d = Driver::new(VisitCfg::default());
+        // Another thread is driving: this call leaves the work to it.
+        shard.lock().driving = true;
+        shard.drive(&mut d, &telemetry);
+        assert_eq!(telemetry.snapshot().decisions, 0);
+        assert_eq!(shard.lock().ready.len(), 1, "the command stays queued");
+        // With the flag clear, the next drive runs it to empty.
+        shard.lock().driving = false;
+        shard.drive(&mut d, &telemetry);
+        assert_eq!(telemetry.snapshot().decisions, 3);
+        let g = shard.lock();
+        assert!(g.ready.is_empty() && !g.driving);
+        drop(g);
+        drop(client);
+    }
+
+    #[test]
+    fn bye_bypasses_full_queue_and_the_visit_retires_the_session() {
         // Regression: fill a session's queue to capacity, lose the
         // client, then deliver the final Bye. It must land despite the
-        // full queue (a bounced Bye would leak the slot forever), the
-        // worker must retire the session, and the slot must be recycled.
+        // full queue (a bounced Bye would leak the slot forever), a
+        // visit must retire the session, and the slot must be recycled.
         let shard = Shard::new();
         let (conn, client) = loopback_conn();
         let model = SessionModel::build("stride", 3, true).expect("builds");
@@ -742,12 +816,11 @@ mod tests {
             Enqueue::Accepted
         );
         let telemetry = Telemetry::new();
-        let input_closed = AtomicBool::new(true);
-        let cfg = WorkerCfg {
+        let cfg = VisitCfg {
             max_batch: 2,
-            ..WorkerCfg::default()
+            ..VisitCfg::default()
         };
-        shard.worker_loop(&input_closed, &telemetry, &cfg);
+        shard.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.sessions_closed, 1);
         assert_eq!(s.decisions, 4);
@@ -784,8 +857,7 @@ mod tests {
             Enqueue::Accepted
         );
         let telemetry = Telemetry::new();
-        let input_closed = AtomicBool::new(true);
-        shard.worker_loop(&input_closed, &telemetry, &WorkerCfg::default());
+        shard.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 24);
         assert_eq!(s.sessions_closed, 2);
@@ -824,12 +896,11 @@ mod tests {
             Enqueue::Accepted
         );
         let telemetry = Telemetry::new();
-        let input_closed = AtomicBool::new(true);
-        let cfg = WorkerCfg {
+        let cfg = VisitCfg {
             quantize_frozen: true,
-            ..WorkerCfg::default()
+            ..VisitCfg::default()
         };
-        shard.worker_loop(&input_closed, &telemetry, &cfg);
+        shard.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 24, "every request is answered via int8");
         assert_eq!(s.sessions_closed, 2);

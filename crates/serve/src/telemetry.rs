@@ -48,7 +48,7 @@ fn lat_bucket_upper(idx: usize) -> u64 {
 }
 
 /// Shared serving counters. One instance per server, shared by every
-/// reader and shard-worker thread through an `Arc`.
+/// event-loop thread through an `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
     sessions_opened: AtomicU64,

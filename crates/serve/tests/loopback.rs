@@ -61,9 +61,11 @@ fn serve_trace(
 
 #[test]
 fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
-    // Four concurrent sessions (mixed models and seeds) microbatched on
-    // two shards: every session's served decisions must equal the offline
-    // sequential run of its own trace, bit for bit.
+    // Four concurrent sessions (mixed models and seeds) microbatched over
+    // each `(io_threads, shards)` arrangement: every session's served
+    // decisions must equal the offline sequential run of its own trace,
+    // bit for bit. (2, 1) has two event loops driving one shard; (1, 2)
+    // has one event loop driving two shards.
     let sessions: &[(&str, u64)] = &[
         ("resemble", 101),
         ("resemble", 202),
@@ -71,17 +73,6 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
         ("bo", 404),
     ];
     let n = 1500;
-    let server = Server::start(
-        ServeConfig {
-            shards: 2,
-            max_batch: 32,
-            ..ServeConfig::default()
-        },
-        SessionModel::default_builder(),
-    )
-    .expect("server starts");
-    let addr = server.local_addr();
-
     let offline: Vec<Vec<Vec<u64>>> = sessions
         .iter()
         .map(|&(model, seed)| {
@@ -91,34 +82,52 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
         })
         .collect();
 
-    let served: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = sessions
-            .iter()
-            .map(|&(model, seed)| {
-                s.spawn(move || {
-                    let trace = session_trace(seed, n);
-                    serve_trace(addr, model, seed, &trace, 24)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client"))
-            .collect()
-    });
+    for (io_threads, shards) in [(2, 2), (2, 1), (1, 2)] {
+        let server = Server::start(
+            ServeConfig {
+                shards,
+                io_threads,
+                max_batch: 32,
+                ..ServeConfig::default()
+            },
+            SessionModel::default_builder(),
+        )
+        .expect("server starts");
+        let addr = server.local_addr();
 
-    for (i, (expect, got)) in offline.iter().zip(served.iter()).enumerate() {
-        assert_eq!(expect, got, "session {i} decisions diverged from offline");
+        let served: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = sessions
+                .iter()
+                .map(|&(model, seed)| {
+                    s.spawn(move || {
+                        let trace = session_trace(seed, n);
+                        serve_trace(addr, model, seed, &trace, 24)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client"))
+                .collect()
+        });
+
+        let arrangement = format!("io_threads {io_threads}, shards {shards}");
+        for (i, (expect, got)) in offline.iter().zip(served.iter()).enumerate() {
+            assert_eq!(
+                expect, got,
+                "{arrangement}: session {i} decisions diverged from offline"
+            );
+        }
+        let snap = server.shutdown();
+        assert_eq!(snap.sessions_opened, sessions.len() as u64, "{arrangement}");
+        assert_eq!(snap.sessions_closed, sessions.len() as u64, "{arrangement}");
+        assert_eq!(snap.decisions, (sessions.len() * n) as u64, "{arrangement}");
+        assert!(
+            snap.batch_size_hist.iter().any(|&(size, _)| size > 1),
+            "{arrangement}: microbatching never formed a batch > 1: {:?}",
+            snap.batch_size_hist
+        );
     }
-    let snap = server.shutdown();
-    assert_eq!(snap.sessions_opened, sessions.len() as u64);
-    assert_eq!(snap.sessions_closed, sessions.len() as u64);
-    assert_eq!(snap.decisions, (sessions.len() * n) as u64);
-    assert!(
-        snap.batch_size_hist.iter().any(|&(size, _)| size > 1),
-        "microbatching never formed a batch > 1: {:?}",
-        snap.batch_size_hist
-    );
 }
 
 #[test]

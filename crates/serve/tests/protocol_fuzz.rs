@@ -6,12 +6,86 @@
 //! frame boundary; any other cut must fail with an error naming the part
 //! that was cut. Whatever length a frame declares, the payload buffer's
 //! capacity stays within the bytes the read consumed plus `READ_CHUNK`
-//! (64 KiB) of slack.
+//! (64 KiB) of slack, and each decoder call, valid or not, allocates at
+//! most the payload's length plus [`DECODE_SLACK`] bytes (counted by this
+//! binary's global allocator).
 
 use proptest::prelude::*;
 use resemble_serve::protocol::{read_frame, EventKind, Reply, Request, MAX_FRAME, READ_CHUNK};
 use resemble_trace::MemAccess;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io;
+
+/// The system allocator, counting the bytes each thread asks for.
+struct Counting;
+
+thread_local! {
+    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the thread-local is gone while a thread exits.
+    let _ = ALLOCATED.try_with(|c| c.set(c.get().saturating_add(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes a decode may allocate beyond its payload's length: an error's
+/// boxed message (a decoded string or address list is never longer than
+/// the payload that holds it).
+const DECODE_SLACK: usize = 256;
+
+/// Bytes this thread allocated while running `f`.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> usize {
+    let before = ALLOCATED.with(Cell::get);
+    let out = f();
+    let bytes = ALLOCATED.with(Cell::get) - before;
+    drop(out);
+    bytes
+}
+
+/// Run both decoders over one frame, bounding what each allocates.
+fn decode_checked(ty: u8, payload: &[u8]) {
+    let bound = payload.len() + DECODE_SLACK;
+    let req = allocated_by(|| Request::decode(ty, payload));
+    assert!(
+        req <= bound,
+        "Request::decode allocated {req} bytes for a {}-byte type-{ty:#x} payload",
+        payload.len()
+    );
+    let reply = allocated_by(|| Reply::decode(ty, payload));
+    assert!(
+        reply <= bound,
+        "Reply::decode allocated {reply} bytes for a {}-byte type-{ty:#x} payload",
+        payload.len()
+    );
+}
 
 /// One valid encoding of every request and reply variant, back to back,
 /// and the offset where each frame ends.
@@ -75,8 +149,7 @@ fn read_checked(r: &mut &[u8]) -> io::Result<Option<u8>> {
         payload.capacity()
     );
     if let Ok(Some(ty)) = got {
-        let _ = Request::decode(ty, &payload);
-        let _ = Reply::decode(ty, &payload);
+        decode_checked(ty, &payload);
     }
     got
 }
@@ -111,6 +184,22 @@ fn check_cut(full: &[u8], ends: &[usize], cut: usize) {
             );
         }
     }
+}
+
+/// A decision that declares 65,535 addresses and carries none must fail
+/// before it sizes a vector for them.
+#[test]
+fn decision_count_is_trusted_only_as_far_as_the_payload_backs_it() {
+    let mut frame = Vec::new();
+    Reply::Decision {
+        req_id: 0,
+        prefetches: Vec::new(),
+    }
+    .encode_into(&mut frame);
+    let ty = frame[4];
+    let payload = [0, 0, 0, 0, 0xFF, 0xFF];
+    decode_checked(ty, &payload);
+    assert!(Reply::decode(ty, &payload).is_err());
 }
 
 /// The stream is a few hundred bytes, so every cut is checked rather

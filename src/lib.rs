@@ -15,7 +15,8 @@
 //!   tabular controllers, lazy sampling, SBP(E) baseline)
 //! * [`stats`] — metrics and reporting helpers
 //! * [`serve`] — online prefetch-decision service (length-prefixed TCP
-//!   protocol, sharded microbatching workers, latency telemetry)
+//!   protocol, epoll event loops that microbatch sharded sessions,
+//!   latency telemetry)
 //!
 //! ```
 //! use resemble::prelude::*;
