@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! serve --addr 127.0.0.1:7071 --shards 4 --max-batch 64 --queue-cap 256 \
-//!       --io-threads 2 --pool-rows 4096 --checkpoint-dir ckpts/ \
+//!       --io-threads 2 --checkpoint-dir ckpts/ \
 //!       --snapshot telemetry.jsonl --snapshot-secs 5
 //! ```
 //!
@@ -11,7 +11,7 @@
 //! learned state on Bye, and a later Hello with the same
 //! `(model, seed, fast)` resumes from the saved file. Cross-session
 //! batching of frozen same-key sessions is on by default; disable with
-//! `--no-cross-session`. `--quantize-frozen` opts pooled frozen windows
+//! `--no-cross-session`. `--quantize-frozen` opts every frozen window
 //! into the int8 quantized datapath: deterministic (bit-identical across
 //! backends and reruns) but not bit-identical to f32 decisions.
 //!
@@ -51,7 +51,6 @@ fn main() {
         "snapshot-secs",
         "io-threads",
         "no-cross-session",
-        "pool-rows",
         "checkpoint-dir",
         "quantize-frozen",
     ]);
@@ -64,7 +63,6 @@ fn main() {
         snapshot_every: Duration::from_secs(opts.u64("snapshot-secs", 5)),
         io_threads: opts.usize("io-threads", 2),
         cross_session: !opts.flag("no-cross-session"),
-        pool_rows: opts.usize("pool-rows", 4096),
         checkpoint_dir: opts.str("checkpoint-dir").map(Into::into),
         quantize_frozen: opts.flag("quantize-frozen"),
     };

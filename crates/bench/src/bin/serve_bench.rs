@@ -22,10 +22,11 @@
 //! degenerate to single rows; pooling shares one `forward_batch` across
 //! every ready same-key session per shard visit.
 //!
-//! The int8 scenario (`--int8-rows`/`--int8-iters`) drives the pooled
-//! `WeightPool` forward path in-process on `resemble_frozen_wide` states,
-//! once in f32 and once through the `--quantize-frozen` int8 datapath,
-//! and reports the throughput ratio plus the measured argmax decision
+//! The int8 scenario (`--int8-rows`/`--int8-iters`) times a pooled
+//! window's forward in-process on `resemble_frozen_wide` states: the
+//! frozen net's `Mlp::forward_batch` (the f32 path) against its
+//! `QuantizedMlp::forward_into` copy (the `--quantize-frozen` path), and
+//! reports the throughput ratio plus the measured argmax decision
 //! agreement between the two.
 //!
 //! `--check` gates every serving metric with `perf_gate`-style messages:
@@ -75,8 +76,8 @@ struct BenchReport {
     int8: Int8Report,
 }
 
-/// The int8 quantized-serving scenario: the pooled `WeightPool` forward
-/// path measured in-process (no sockets — this isolates the datapath the
+/// The int8 quantized-serving scenario: a pooled window's forward
+/// measured in-process (no sockets — this isolates the datapath the
 /// `--quantize-frozen` flag swaps) on frozen wide-model states, f32 vs
 /// int8, plus the decision-agreement delta between the two.
 #[derive(Debug, Serialize)]
@@ -111,45 +112,38 @@ struct Int8Report {
     avx512_skip: Option<String>,
 }
 
-/// Run the int8 scenario: one warm `WeightPool` per datapath, `iters`
-/// timed pooled forwards over the same `rows`-row state window.
+/// Run the int8 scenario: the frozen net and its int8 copy, each warm,
+/// `iters` timed forwards over the same `rows`-row state window.
 fn run_int8_scenario(model: &str, rows: usize, iters: usize, seed: u64) -> Int8Report {
     use resemble_nn::quant::argmax_row;
-    use resemble_nn::Matrix;
-    use resemble_serve::pool::{SessionKey, WeightPool};
+    use resemble_nn::{BatchScratch, Matrix, QuantizedMlp};
 
     let template = SessionModel::build(model, seed, true).expect("int8 scenario model builds");
-    let dim = template
+    let net = template
         .inference_net()
-        .expect("int8 scenario model has an inference net")
-        .input_dim();
+        .expect("int8 scenario model has an inference net");
+    let dim = net.input_dim();
     let states = Matrix::from_fn(rows, dim, |r, c| {
         ((r * dim + c) as f64 * 0.173).sin() as f32
     });
-    let key = SessionKey {
-        model: model.to_string(),
-        seed,
-        fast: true,
-    };
-    let mut f32_pool = WeightPool::new(4);
-    let mut int8_pool = WeightPool::new(4).quantized(true);
-    let mut qf = Matrix::default();
+    let mut qnet = QuantizedMlp::from_mlp(net);
+    let mut scratch = BatchScratch::default();
     let mut qi = Matrix::default();
-    // Warm both entries (weight clone + quantization) outside the timed
-    // window, and take the agreement measurement from the warm outputs.
-    assert!(f32_pool.forward_into(&key, &template, &states, &mut qf));
-    assert!(int8_pool.forward_into(&key, &template, &states, &mut qi));
+    // Warm both datapaths (scratch growth) outside the timed window, and
+    // take the agreement measurement from the warm outputs.
+    qnet.forward_into(&states, &mut qi);
+    let qf = net.forward_batch(&states, &mut scratch);
     let agree = (0..rows)
         .filter(|&r| argmax_row(qf.row(r)) == argmax_row(qi.row(r)))
         .count();
     let t = Instant::now();
     for _ in 0..iters {
-        f32_pool.forward_into(&key, &template, &states, &mut qf);
+        net.forward_batch(&states, &mut scratch);
     }
     let f32_s = t.elapsed().as_secs_f64().max(1e-9);
     let t = Instant::now();
     for _ in 0..iters {
-        int8_pool.forward_into(&key, &template, &states, &mut qi);
+        qnet.forward_into(&states, &mut qi);
     }
     let int8_s = t.elapsed().as_secs_f64().max(1e-9);
     let total_rows = (rows * iters) as f64;
@@ -163,13 +157,12 @@ fn run_int8_scenario(model: &str, rows: usize, iters: usize, seed: u64) -> Int8R
         if KernelBackend::Avx512.is_available() {
             let mut timed = |be: KernelBackend| {
                 let _guard = simd::force(be);
-                // Warm outside the timed window: the pool re-quantizes on
-                // first touch after a backend switch only if evicted; the
-                // forward itself is the thing being timed.
-                int8_pool.forward_into(&key, &template, &states, &mut qi);
+                // One untimed call under the forced backend, then time the
+                // forward itself.
+                qnet.forward_into(&states, &mut qi);
                 let t = Instant::now();
                 for _ in 0..iters {
-                    int8_pool.forward_into(&key, &template, &states, &mut qi);
+                    qnet.forward_into(&states, &mut qi);
                 }
                 total_rows / t.elapsed().as_secs_f64().max(1e-9)
             };

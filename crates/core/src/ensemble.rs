@@ -212,7 +212,7 @@ impl ResembleMlp {
             let chunk = &accesses[start..start + m];
             // Phase A, then phase B through this controller's own
             // inference net, then phase C — the fused single-session path.
-            self.window_prepare(chunk);
+            self.window_prepare(chunk, &[]);
             let mut q = std::mem::take(&mut self.win_q);
             self.agent.q_batch_into(&self.win_states, &mut q);
             self.window_commit(chunk, &q, 0, |k, issued| emit(start + k, issued));
@@ -229,6 +229,15 @@ impl ResembleMlp {
     /// it touches the agent, replay, or RNG. Returns the window's state
     /// matrix, one row per access.
     ///
+    /// `events` are cache events tagged with the index in `chunk` of the
+    /// access they precede (`chunk.len()` for events after the last
+    /// access), in stream order. Each is applied to the bank at its
+    /// position, so the members see exactly the sequence that
+    /// [`Prefetcher::on_cache_events`] between per-segment windows would
+    /// give them. Events touch only the bank, and
+    /// [`ResembleMlp::window_commit`] reads only what this phase copied, so
+    /// one window may span any number of events.
+    ///
     /// This is one half of [`ResembleMlp::on_access_window`], split out so
     /// `resemble-serve` can pool phase B (the batched forward) across
     /// sessions that share frozen inference weights. The contract: the
@@ -237,12 +246,20 @@ impl ResembleMlp {
     /// this controller's inference net forward on the returned states,
     /// before any other call that mutates this controller; `chunk.len()`
     /// must not exceed [`DqnAgent::decision_window_bound`].
-    pub fn window_prepare(&mut self, chunk: &[(MemAccess, bool)]) -> &Matrix {
+    pub fn window_prepare(
+        &mut self,
+        chunk: &[(MemAccess, bool)],
+        events: &[(usize, CacheEvent)],
+    ) -> &Matrix {
         let members = self.bank.len();
         self.win_states.resize(chunk.len(), self.cfg.input_dim());
         self.win_sugg.clear();
         self.win_spans.clear();
+        let mut events = events.iter().peekable();
         for (k, (access, hit)) in chunk.iter().enumerate() {
+            while let Some((_, e)) = events.next_if(|&&(at, _)| at <= k) {
+                self.bank.on_cache_events(std::slice::from_ref(e));
+            }
             self.obs_buf.clear();
             self.obs_buf
                 .extend_from_slice(self.bank.observe(access, *hit));
@@ -261,6 +278,9 @@ impl ResembleMlp {
                 &mut self.state_buf,
             );
             self.win_states.row_mut(k).copy_from_slice(&self.state_buf);
+        }
+        for (_, e) in events {
+            self.bank.on_cache_events(std::slice::from_ref(e));
         }
         &self.win_states
     }
@@ -307,21 +327,10 @@ impl ResembleMlp {
         }
     }
 
-    /// Phase B through this controller's *own* inference net: forward the
-    /// states captured by the last [`ResembleMlp::window_prepare`] into
-    /// `q`. This is the unpooled fallback between prepare and commit —
-    /// bit-identical to the shared-weight path because a frozen pooled net
-    /// is a clone of these same weights.
-    pub fn window_forward(&mut self, q: &mut Matrix) {
-        let states = std::mem::take(&mut self.win_states);
-        self.agent.q_batch_into(&states, q);
-        self.win_states = states;
-    }
-
     /// `true` when the agent is frozen (inference only). Frozen
     /// controllers with equal `(config, seed)` have bit-identical,
     /// never-changing inference weights — the property the serve layer's
-    /// shared-weight session pool is keyed on.
+    /// cross-session pooled windows rely on.
     pub fn is_frozen(&self) -> bool {
         self.agent.frozen
     }
@@ -711,15 +720,19 @@ mod tests {
     #[test]
     fn split_prepare_commit_through_shared_net_matches_fused_window() {
         // The serve layer's cross-session pooled path: phase B runs
-        // through a *clone* of the frozen inference net (shared by many
-        // sessions, states packed into one matrix at arbitrary row
-        // offsets), phases A/C through the session's own controller. Must
-        // be bit-identical to the fused on_access_window path.
-        let mut fused = ResembleMlp::new(two_bank(), small_cfg(), 42);
-        fused.agent_mut().frozen = true;
-        let mut split = ResembleMlp::new(two_bank(), small_cfg(), 42);
-        split.agent_mut().frozen = true;
-        let shared = split.agent().inference_net().clone();
+        // through *another* frozen controller's inference net (the
+        // session heading the pooled window, same weights), states packed
+        // into one matrix at arbitrary row offsets, phases A/C through the
+        // session's own controller. Must be bit-identical to the fused
+        // on_access_window path.
+        let frozen = |seed| {
+            let mut m = ResembleMlp::new(two_bank(), small_cfg(), seed);
+            m.agent_mut().frozen = true;
+            m
+        };
+        let mut fused = frozen(42);
+        let mut split = frozen(42);
+        let head = frozen(42);
         let mut scratch = resemble_nn::BatchScratch::default();
 
         let mut src = StreamGen::new(3, 2, 4096, 0).with_write_ratio(0.1);
@@ -735,7 +748,7 @@ mod tests {
             fused.on_access_window(chunk, |k, issued| {
                 fused_out[pos + k] = issued.to_vec();
             });
-            let states = split.window_prepare(chunk);
+            let states = split.window_prepare(chunk, &[]);
             let mut padded = Matrix::zeros(row0 + chunk.len(), states.cols());
             for r in 0..row0 {
                 padded.row_mut(r).fill(0.25); // junk rows from "other sessions"
@@ -743,7 +756,10 @@ mod tests {
             for r in 0..chunk.len() {
                 padded.row_mut(row0 + r).copy_from_slice(states.row(r));
             }
-            let q = shared.forward_batch(&padded, &mut scratch);
+            let q = head
+                .agent()
+                .inference_net()
+                .forward_batch(&padded, &mut scratch);
             split.window_commit(chunk, q, row0, |k, issued| {
                 split_out[pos + k] = issued.to_vec();
             });
@@ -752,6 +768,165 @@ mod tests {
         assert_eq!(fused.agent().param_bits(), split.agent().param_bits());
         assert_eq!(fused.stats.accesses(), split.stats.accesses());
         assert_eq!(fused.stats.action_counts, split.stats.action_counts);
+    }
+
+    /// Suggests a line derived from the latest cache event it was told
+    /// of, so its suggestion at each access shows exactly which events
+    /// preceded that access.
+    #[derive(Default)]
+    struct LastEvent(Option<u64>);
+    impl Prefetcher for LastEvent {
+        fn name(&self) -> &'static str {
+            "last_event"
+        }
+        fn kind(&self) -> PredictionKind {
+            PredictionKind::Temporal
+        }
+        fn on_access(&mut self, _a: &MemAccess, _h: bool, out: &mut Vec<u64>) {
+            out.extend(self.0);
+        }
+        fn on_prefetch_fill(&mut self, addr: u64) {
+            self.0 = Some(addr);
+        }
+        fn on_demand_fill(&mut self, addr: u64) {
+            self.0 = Some(addr + 64);
+        }
+        fn on_evict(&mut self, addr: u64, unused_prefetch: bool) {
+            self.0 = Some(addr + if unused_prefetch { 128 } else { 192 });
+        }
+        fn budget_bytes(&self) -> usize {
+            0
+        }
+        fn reset(&mut self) {
+            self.0 = None;
+        }
+    }
+
+    /// Apply one cache event through the per-event hooks, as a serve
+    /// session's `on_event` does.
+    fn hook(ctl: &mut ResembleMlp, e: CacheEvent) {
+        match e {
+            CacheEvent::PrefetchFill { addr } => ctl.on_prefetch_fill(addr),
+            CacheEvent::DemandFill { addr } => ctl.on_demand_fill(addr),
+            CacheEvent::Evict {
+                addr,
+                unused_prefetch,
+            } => ctl.on_evict(addr, unused_prefetch),
+        }
+    }
+
+    #[test]
+    fn events_inside_one_window_match_per_segment_windows() {
+        // A window whose events ride inside `window_prepare` (applied to
+        // the bank at their positions, trailing ones at `chunk.len()`)
+        // must equal the per-segment path: the events through the hooks,
+        // then `on_access_window` on each event-free segment. Learning and
+        // frozen controllers; the `LastEvent` member makes an event
+        // applied one access early or late change a state row.
+        let mut src = StreamGen::new(5, 3, 4096, 0).with_write_ratio(0.1);
+        let n = 3000usize;
+        let accesses: Vec<(MemAccess, bool)> = (0..n)
+            .map(|i| (src.next_access().unwrap(), i % 3 == 0))
+            .collect();
+        // `(index of the access it precedes, event)`, in stream order:
+        // none before every third access, two before every seventh, and
+        // one after the last access.
+        let mut events: Vec<(usize, CacheEvent)> = Vec::new();
+        for i in 0..=n {
+            let addr = (i as u64 + 1) << 12;
+            match i % 3 {
+                0 if i < n => {}
+                1 => events.push((i, CacheEvent::DemandFill { addr })),
+                _ => events.push((
+                    i,
+                    CacheEvent::Evict {
+                        addr,
+                        unused_prefetch: i % 2 == 0,
+                    },
+                )),
+            }
+            if i % 7 == 0 {
+                events.push((i, CacheEvent::PrefetchFill { addr: addr + 4096 }));
+            }
+        }
+
+        for frozen in [false, true] {
+            let build = || {
+                let bank = PrefetcherBank::new(vec![
+                    Box::new(NextLine::new(1)),
+                    Box::new(LastEvent::default()),
+                ]);
+                let mut m = ResembleMlp::new(bank, small_cfg(), 9);
+                m.agent_mut().frozen = frozen;
+                m
+            };
+            let (mut seg, mut win, mut blind) = (build(), build(), build());
+
+            let mut seg_out: Vec<Vec<u64>> = Vec::new();
+            let (mut start, mut ev) = (0usize, 0usize);
+            loop {
+                while ev < events.len() && events[ev].0 == start {
+                    hook(&mut seg, events[ev].1);
+                    ev += 1;
+                }
+                if start == n {
+                    break;
+                }
+                let end = events.get(ev).map_or(n, |e| e.0.min(n));
+                seg.on_access_window(&accesses[start..end], |_, issued| {
+                    seg_out.push(issued.to_vec())
+                });
+                start = end;
+            }
+            assert_eq!(ev, events.len(), "every event applied");
+
+            let mut win_out: Vec<Vec<u64>> = Vec::new();
+            let mut scratch = resemble_nn::BatchScratch::default();
+            let mut window_events: Vec<(usize, CacheEvent)> = Vec::new();
+            let sizes = [1usize, 9, 64, 3, 40, 128];
+            let (mut pos, mut ev, mut ci) = (0usize, 0usize, 0usize);
+            while pos < n {
+                let bound = win.agent().decision_window_bound();
+                let m = sizes[ci % sizes.len()].min(bound).min(n - pos);
+                ci += 1;
+                let chunk = &accesses[pos..pos + m];
+                // Events up to and including the next window's first
+                // position ride in this window (trailing at `m`).
+                window_events.clear();
+                while ev < events.len() && events[ev].0 <= pos + m {
+                    window_events.push((events[ev].0 - pos, events[ev].1));
+                    ev += 1;
+                }
+                let states = win.window_prepare(chunk, &window_events).clone();
+                let q = win
+                    .agent()
+                    .inference_net()
+                    .forward_batch(&states, &mut scratch);
+                win.window_commit(chunk, q, 0, |_, issued| win_out.push(issued.to_vec()));
+                pos += m;
+            }
+            assert_eq!(ev, events.len(), "every event applied");
+
+            let mut blind_out: Vec<Vec<u64>> = Vec::new();
+            blind.on_access_window(&accesses, |_, issued| blind_out.push(issued.to_vec()));
+
+            assert_eq!(
+                seg_out, win_out,
+                "frozen={frozen}: issued prefetches diverged"
+            );
+            assert_ne!(seg_out, blind_out, "frozen={frozen}: events never mattered");
+            assert_eq!(seg.agent().param_bits(), win.agent().param_bits());
+            assert_eq!(seg.stats.accesses(), win.stats.accesses());
+            assert_eq!(seg.stats.action_counts, win.stats.action_counts);
+            let rewards = |c: &ResembleMlp| {
+                c.stats
+                    .window_rewards
+                    .iter()
+                    .map(|r| r.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(rewards(&seg), rewards(&win));
+        }
     }
 
     #[test]

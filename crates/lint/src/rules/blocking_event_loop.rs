@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn negative_other_files_and_test_regions() {
         let src = "fn f(m: &std::sync::Mutex<u32>) { let _g = m.lock().unwrap(); }\n";
-        assert!(run("crates/serve/src/pool.rs", src).is_empty());
+        assert!(run("crates/serve/src/session.rs", src).is_empty());
         let src2 = "#[cfg(test)]\n\
                     mod tests {\n\
                         fn t() { std::thread::sleep(std::time::Duration::from_millis(1)); }\n\

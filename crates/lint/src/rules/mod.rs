@@ -66,7 +66,6 @@ pub const SERVE_HOT_FILES: &[&str] = &[
     "crates/serve/src/batcher.rs",
     "crates/serve/src/telemetry.rs",
     "crates/serve/src/event_loop.rs",
-    "crates/serve/src/pool.rs",
 ];
 
 /// The only files allowed to contain `unsafe` at all, each because its

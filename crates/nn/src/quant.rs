@@ -213,9 +213,8 @@ fn interleave_weight_pairs(qw: &[i8], fan_in: usize, lanes_out: usize) -> Vec<i1
 /// the module docs for the full determinism argument.
 ///
 /// Owns its scratch buffers, so a steady-state `forward_into` allocates
-/// nothing; callers that share one instance across sessions (the serve
-/// `WeightPool`) get the same no-allocation property the f32
-/// `BatchScratch` path has.
+/// nothing; a serve session whose copy forwards a pooled window gets the
+/// same no-allocation property the f32 `BatchScratch` path has.
 #[derive(Debug, Clone)]
 pub struct QuantizedMlp {
     layers: Vec<QuantLayer>,

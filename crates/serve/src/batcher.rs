@@ -1,16 +1,17 @@
 //! Microbatch formation: turning a session's queued commands into a
-//! drain plan of decision runs, events, and expired requests.
+//! drain plan of decision requests, position-tagged events, and expired
+//! requests.
 //!
 //! A shard visit calls [`drain_session`] under the shard lock (it only
 //! moves queue entries — no model work, no I/O), then executes the plan
 //! with the lock released. The plan preserves the queue's stream order
-//! exactly: consecutive accesses coalesce into *runs* (each run becomes
-//! one batched decision window), cache events split runs because they
-//! must be applied to the model between the accesses they arrived
-//! between, and requests whose deadline already passed are pulled out for
-//! `TimedOut` replies without touching the model. This file is on the
-//! decision hot path (`panic-in-hot-path` scope): no panics, no literal
-//! indexing.
+//! exactly: live accesses collect into one run, and each cache event is
+//! tagged with the index in that run of the access it precedes, so the
+//! model can apply it between the accesses it arrived between. Requests
+//! whose deadline already passed are pulled out for `TimedOut` replies
+//! without touching the model, and without moving any event. This file is
+//! on the decision hot path (`panic-in-hot-path` scope): no panics, no
+//! literal indexing.
 
 use crate::protocol::EventKind;
 use resemble_trace::MemAccess;
@@ -48,35 +49,17 @@ pub enum SessionCmd {
     Bye,
 }
 
-/// One step of a drain plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanOp {
-    /// Decide `plan.run[start..start + len]` in one batched window.
-    Run {
-        /// First index into [`DrainPlan::run`].
-        start: usize,
-        /// Number of consecutive accesses in the window.
-        len: usize,
-    },
-    /// Apply one cache event to the model.
-    Event {
-        /// What happened.
-        kind: EventKind,
-        /// Block-aligned byte address.
-        addr: u64,
-    },
-}
-
-/// The result of draining one session's queue: ordered ops over the
-/// accesses collected in `run`, plus the expired requests and whether the
-/// session said goodbye. Reused across drains (all `Vec`s are cleared,
-/// capacity kept).
+/// The result of draining one session's queue: the live accesses in
+/// stream order, the cache events between them, the expired requests, and
+/// whether the session said goodbye. Reused across drains (all `Vec`s are
+/// cleared, capacity kept).
 #[derive(Debug, Default)]
 pub struct DrainPlan {
-    /// Ordered steps referencing `run` by range.
-    pub ops: Vec<PlanOp>,
-    /// Backing storage for every live access drained, in stream order.
+    /// Every live access drained, in stream order.
     pub run: Vec<AccessReq>,
+    /// `(index in run of the access it precedes, kind, addr)`, in stream
+    /// order; events after the last access carry `run.len()`.
+    pub events: Vec<(usize, EventKind, u64)>,
     /// Requests whose deadline passed while queued (never reach the model).
     pub timed_out: Vec<AccessReq>,
     /// The session's `Bye` was reached.
@@ -91,15 +74,15 @@ impl DrainPlan {
 
     /// Reset for the next drain, keeping allocations.
     pub fn clear(&mut self) {
-        self.ops.clear();
         self.run.clear();
+        self.events.clear();
         self.timed_out.clear();
         self.saw_bye = false;
     }
 
     /// Nothing was drained.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty() && self.timed_out.is_empty() && !self.saw_bye
+        self.run.is_empty() && self.events.is_empty() && self.timed_out.is_empty() && !self.saw_bye
     }
 }
 
@@ -115,11 +98,7 @@ pub fn drain_session(
 ) {
     plan.clear();
     let max = max_accesses.max(1);
-    let mut run_start = 0usize;
-    loop {
-        if plan.run.len() >= max {
-            break;
-        }
+    while plan.run.len() < max {
         let Some(cmd) = queue.pop_front() else { break };
         match cmd {
             SessionCmd::Access(req) => {
@@ -129,27 +108,12 @@ pub fn drain_session(
                     plan.run.push(req);
                 }
             }
-            SessionCmd::Event { kind, addr } => {
-                if plan.run.len() > run_start {
-                    plan.ops.push(PlanOp::Run {
-                        start: run_start,
-                        len: plan.run.len() - run_start,
-                    });
-                    run_start = plan.run.len();
-                }
-                plan.ops.push(PlanOp::Event { kind, addr });
-            }
+            SessionCmd::Event { kind, addr } => plan.events.push((plan.run.len(), kind, addr)),
             SessionCmd::Bye => {
                 plan.saw_bye = true;
                 break;
             }
         }
-    }
-    if plan.run.len() > run_start {
-        plan.ops.push(PlanOp::Run {
-            start: run_start,
-            len: plan.run.len() - run_start,
-        });
     }
 }
 
@@ -177,8 +141,8 @@ mod tests {
         let mut q: VecDeque<SessionCmd> = (0..5).map(|i| req(i, None)).collect();
         let mut plan = DrainPlan::new();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
-        assert_eq!(plan.ops, vec![PlanOp::Run { start: 0, len: 5 }]);
         assert_eq!(run_ids(&plan), vec![0, 1, 2, 3, 4]);
+        assert!(plan.events.is_empty());
         assert!(q.is_empty());
         assert!(!plan.saw_bye);
     }
@@ -195,7 +159,46 @@ mod tests {
     }
 
     #[test]
-    fn events_split_runs_in_stream_order() {
+    fn events_are_tagged_with_the_access_they_precede() {
+        let mut q = VecDeque::new();
+        q.push_back(SessionCmd::Event {
+            kind: EventKind::PrefetchFill,
+            addr: 0x80,
+        });
+        q.push_back(req(0, None));
+        q.push_back(req(1, None));
+        q.push_back(SessionCmd::Event {
+            kind: EventKind::DemandFill,
+            addr: 0x40,
+        });
+        q.push_back(req(2, None));
+        q.push_back(SessionCmd::Event {
+            kind: EventKind::Evict {
+                unused_prefetch: true,
+            },
+            addr: 0xc0,
+        });
+        let mut plan = DrainPlan::new();
+        drain_session(&mut q, 64, Instant::now(), &mut plan);
+        assert_eq!(run_ids(&plan), vec![0, 1, 2]);
+        assert_eq!(
+            plan.events,
+            vec![
+                (0, EventKind::PrefetchFill, 0x80),
+                (2, EventKind::DemandFill, 0x40),
+                (
+                    3,
+                    EventKind::Evict {
+                        unused_prefetch: true
+                    },
+                    0xc0
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn events_past_the_cutoff_stay_queued() {
         let mut q = VecDeque::new();
         q.push_back(req(0, None));
         q.push_back(req(1, None));
@@ -205,18 +208,13 @@ mod tests {
         });
         q.push_back(req(2, None));
         let mut plan = DrainPlan::new();
-        drain_session(&mut q, 64, Instant::now(), &mut plan);
-        assert_eq!(
-            plan.ops,
-            vec![
-                PlanOp::Run { start: 0, len: 2 },
-                PlanOp::Event {
-                    kind: EventKind::DemandFill,
-                    addr: 0x40
-                },
-                PlanOp::Run { start: 2, len: 1 },
-            ]
-        );
+        drain_session(&mut q, 2, Instant::now(), &mut plan);
+        assert_eq!(run_ids(&plan), vec![0, 1]);
+        assert!(plan.events.is_empty());
+        assert_eq!(q.len(), 2, "the event and the third access wait");
+        drain_session(&mut q, 2, Instant::now(), &mut plan);
+        assert_eq!(run_ids(&plan), vec![2]);
+        assert_eq!(plan.events, vec![(0, EventKind::DemandFill, 0x40)]);
     }
 
     #[test]
@@ -227,16 +225,22 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(req(0, future));
         q.push_back(req(1, past)); // expired in queue
+        q.push_back(SessionCmd::Event {
+            kind: EventKind::DemandFill,
+            addr: 0x40,
+        });
         q.push_back(req(2, None));
         let mut plan = DrainPlan::new();
         drain_session(&mut q, 64, now, &mut plan);
+        // The two live accesses still batch as one contiguous run.
         assert_eq!(run_ids(&plan), vec![0, 2]);
         assert_eq!(
             plan.timed_out.iter().map(|r| r.req_id).collect::<Vec<_>>(),
             vec![1]
         );
-        // The two live accesses still batch as one contiguous run.
-        assert_eq!(plan.ops, vec![PlanOp::Run { start: 0, len: 2 }]);
+        // The expired request does not move the event: it still precedes
+        // access 2, the run's second entry.
+        assert_eq!(plan.events, vec![(1, EventKind::DemandFill, 0x40)]);
     }
 
     #[test]
@@ -247,7 +251,7 @@ mod tests {
         let mut plan = DrainPlan::new();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
         assert!(plan.saw_bye);
-        assert_eq!(plan.ops, vec![PlanOp::Run { start: 0, len: 1 }]);
+        assert_eq!(run_ids(&plan), vec![0]);
         assert!(q.is_empty());
     }
 

@@ -24,7 +24,7 @@
 //!
 //! The thread that read a request also decides it. After handling a
 //! whole `epoll_wait` batch, a thread drives every shard it enqueued to
-//! ([`Shard::drive`]) with its own visit buffers and weight pool, so the
+//! ([`Shard::drive`]) with its own visit buffers and batch scratch, so the
 //! sessions of one batch share a visit and no request changes threads on
 //! its way to the model. The cost is that a visit holds its event loop:
 //! model work, and a bounded send stall on a client that stops reading
@@ -36,15 +36,13 @@
 //! (`panic-in-hot-path` scope): no panics, no literal indexing.
 
 use crate::batcher::{AccessReq, SessionCmd};
-use crate::pool::SessionKey;
 use crate::protocol::{Reply, Request, MAX_FRAME};
 use crate::session::{load_checkpoint_file, ModelBuilder};
-use crate::shard::{Conn, Driver, Enqueue, Shard, VisitCfg};
+use crate::shard::{Conn, Driver, Enqueue, SessionKey, Shard, VisitCfg};
 use crate::telemetry::Telemetry;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -222,7 +220,6 @@ pub(crate) struct IoCtx {
     pub(crate) queue_cap: usize,
     pub(crate) next_session: AtomicU64,
     pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) checkpoint_dir: Option<PathBuf>,
 }
 
 /// An event-loop thread's inbox: accepted streams parked by the
@@ -396,7 +393,7 @@ struct IoLoop {
     listener: Option<TcpListener>,
     mailboxes: Arc<Vec<IoMailbox>>,
     ctx: Arc<IoCtx>,
-    /// This thread's visit buffers and weight pool.
+    /// This thread's visit buffers and batch scratch.
     driver: Driver,
     /// Shards this thread enqueued to since it last drove them.
     touched: Vec<bool>,
@@ -768,7 +765,7 @@ impl IoLoop {
                 return false;
             }
         };
-        if let Some(dir) = &self.ctx.checkpoint_dir {
+        if let Some(dir) = &self.ctx.visit.checkpoint_dir {
             if load_checkpoint_file(dir, &model, seed, fast, &mut m) {
                 self.ctx.telemetry.checkpoint_loaded();
             }

@@ -9,14 +9,16 @@
 //! connection is one session with its own ensemble/prefetcher state
 //! ([`session`]), partitioned across shards ([`shard`]). After each
 //! `epoll_wait` batch, the thread that read the requests microbatches
-//! whatever a session has queued — up to `max_batch` — into single
+//! whatever a session has queued — up to `max_batch` — into
 //! `Mlp::forward_batch` decision windows ([`batcher`],
-//! `ResembleMlp::on_access_window`), and additionally pool frozen
-//! same-`(model, seed, fast)` sessions into one shared forward per visit
-//! ([`pool`]), which keeps the PR-3 GEMM kernels on the serving hot path
-//! while staying **bit-identical** to an offline sequential run of the
-//! same stream, no matter how sessions interleave. Session models can
-//! checkpoint to disk on `Bye` and warm-start the next same-key Hello
+//! `ResembleMlp::on_access_window`). A frozen session's drained plan is
+//! one window, its cache events included, and the frozen
+//! same-`(model, seed, fast)` sessions ready on a shard share one forward
+//! per visit through the heading session's net ([`shard`]). That keeps
+//! the GEMM kernels on the serving hot path while staying
+//! **bit-identical** to an offline sequential run of the same stream, no
+//! matter how sessions interleave. Session models can checkpoint to disk
+//! on `Bye` and warm-start the next same-key Hello
 //! (`ServeConfig::checkpoint_dir`).
 //!
 //! The production envelope: bounded per-session queues with explicit
@@ -42,7 +44,6 @@
 pub mod batcher;
 pub mod client;
 mod event_loop;
-pub mod pool;
 pub mod protocol;
 pub mod server;
 pub mod session;

@@ -53,17 +53,17 @@ pub struct ServeConfig {
     /// listener); these threads also run every decision window.
     pub io_threads: usize,
     /// Batch decision windows across same-key frozen sessions into one
-    /// shared forward per visit.
+    /// shared forward per visit (up to 4096 rows, or `max_batch` when
+    /// larger).
     pub cross_session: bool,
-    /// Row cap of one cross-session pooled window.
-    pub pool_rows: usize,
     /// Directory for model checkpoints: sessions save on `Bye` and new
     /// same-key sessions warm-start from the latest file (`None`
     /// disables both).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Serve pooled frozen windows through the int8 quantized datapath
-    /// (`--quantize-frozen`). Deterministic, but not bit-identical to the
-    /// default f32 path; off by default.
+    /// Serve every frozen window through the int8 quantized datapath
+    /// (`--quantize-frozen`), whether it pools sessions or not and
+    /// whatever cache events it carries. Deterministic, but not
+    /// bit-identical to the default f32 path; off by default.
     pub quantize_frozen: bool,
 }
 
@@ -78,7 +78,6 @@ impl Default for ServeConfig {
             snapshot_every: Duration::from_secs(5),
             io_threads: 2,
             cross_session: true,
-            pool_rows: 4096,
             checkpoint_dir: None,
             quantize_frozen: false,
         }
@@ -124,7 +123,6 @@ impl Server {
             visit: VisitCfg {
                 max_batch: cfg.max_batch.max(1),
                 cross_session: cfg.cross_session,
-                pool_rows: cfg.pool_rows.max(1),
                 checkpoint_dir: cfg.checkpoint_dir.clone(),
                 quantize_frozen: cfg.quantize_frozen,
             },
@@ -133,7 +131,6 @@ impl Server {
             queue_cap: cfg.queue_cap.max(1),
             next_session: AtomicU64::new(1),
             shutdown: Arc::clone(&shutdown),
-            checkpoint_dir: cfg.checkpoint_dir.clone(),
         });
         let mut listener = Some(listener);
         let io_threads = (0..n_io)

@@ -1,18 +1,21 @@
 //! Per-session model state: what a connected client's access stream is
-//! served by, and how a drained run of requests is applied to it.
+//! served by, and how a drained plan of requests is applied to it.
 //!
 //! One connection is one session is one model instance — sessions never
 //! share learned state, which is what makes served decisions bit-identical
 //! to an offline run of the same stream no matter how the scheduler
 //! interleaves sessions. The [`ResembleMlp`] controller gets the batched
 //! decision-window path ([`ResembleMlp::on_access_window`], one
-//! `forward_batch` per window); every other prefetcher runs its ordinary
-//! sequential `on_access` loop.
+//! `forward_batch` per window; a frozen one splits each window around a
+//! forward that the shard may share across sessions); every other
+//! prefetcher runs its ordinary sequential `on_access` loop.
 
 use crate::protocol::EventKind;
 use resemble_core::{ResembleConfig, ResembleMlp};
 use resemble_nn::{Matrix, Mlp};
-use resemble_prefetch::{paper_bank, BestOffset, Prefetcher, Spp, Streamer, StridePrefetcher};
+use resemble_prefetch::{
+    paper_bank, BestOffset, CacheEvent, Prefetcher, Spp, Streamer, StridePrefetcher,
+};
 use resemble_trace::MemAccess;
 use std::fs;
 use std::io;
@@ -126,8 +129,8 @@ impl SessionModel {
         matches!(self, SessionModel::Mlp(m) if m.is_frozen())
     }
 
-    /// The controller's inference network, used to seed a shared-weight
-    /// pool entry. `None` for non-MLP sessions.
+    /// The controller's inference network: the heading session's copy
+    /// forwards a pooled window. `None` for non-MLP sessions.
     pub fn inference_net(&self) -> Option<&Mlp> {
         match self {
             SessionModel::Mlp(m) => Some(m.agent().inference_net()),
@@ -136,23 +139,19 @@ impl SessionModel {
     }
 
     /// Phase A of a pooled decision window: feed the run through the
-    /// prefetcher bank and capture per-access MLP states. Returns the
-    /// state matrix (one row per access), or `None` for non-MLP sessions.
-    /// Every `window_prepare` must be followed by exactly one
+    /// prefetcher bank, applying each `(index of the access it precedes,
+    /// event)` at its position, and capture per-access MLP states. Returns
+    /// the state matrix (one row per access), or `None` for non-MLP
+    /// sessions. Every `window_prepare` must be followed by exactly one
     /// [`SessionModel::window_commit`] over the same run.
-    pub fn window_prepare(&mut self, accesses: &[(MemAccess, bool)]) -> Option<&Matrix> {
+    pub fn window_prepare(
+        &mut self,
+        accesses: &[(MemAccess, bool)],
+        events: &[(usize, CacheEvent)],
+    ) -> Option<&Matrix> {
         match self {
-            SessionModel::Mlp(m) => Some(m.window_prepare(accesses)),
+            SessionModel::Mlp(m) => Some(m.window_prepare(accesses, events)),
             SessionModel::Boxed(_) => None,
-        }
-    }
-
-    /// Phase B fallback: forward the states captured by the last
-    /// [`SessionModel::window_prepare`] through the session's *own*
-    /// inference net into `q` (bit-identical to the pooled forward).
-    pub fn window_forward(&mut self, q: &mut Matrix) {
-        if let SessionModel::Mlp(m) = self {
-            m.window_forward(q);
         }
     }
 
@@ -189,6 +188,19 @@ impl SessionModel {
             SessionModel::Mlp(m) => m.load_checkpoint(r).map(|()| true),
             SessionModel::Boxed(_) => Ok(false),
         }
+    }
+}
+
+/// The bank-level form of a wire event, for
+/// [`SessionModel::window_prepare`] (a one-to-one map).
+pub(crate) fn cache_event(kind: EventKind, addr: u64) -> CacheEvent {
+    match kind {
+        EventKind::PrefetchFill => CacheEvent::PrefetchFill { addr },
+        EventKind::DemandFill => CacheEvent::DemandFill { addr },
+        EventKind::Evict { unused_prefetch } => CacheEvent::Evict {
+            addr,
+            unused_prefetch,
+        },
     }
 }
 
@@ -397,19 +409,31 @@ mod tests {
 
     #[test]
     fn split_window_phases_match_fused_run() {
-        let t = trace(120);
+        // The shard's frozen-window path: one window per chunk with its
+        // events inside `window_prepare`, forwarded through the inference
+        // net, must serve what `on_event` + `on_run` per segment serve.
+        let t = trace(119); // seven chunks of 17
+        let fill = |i: usize| (EventKind::DemandFill, 0x10_0000 + i as u64 * 64 + 192);
         let mut fused = SessionModel::build("resemble_frozen", 9, true).expect("builds");
         let mut expect: Vec<Vec<u64>> = Vec::new();
-        for chunk in t.chunks(17) {
-            fused.on_run(chunk, |_, issued| expect.push(issued.to_vec()));
+        for (c, chunk) in t.chunks(17).enumerate() {
+            fused.on_run(&chunk[..5], |_, issued| expect.push(issued.to_vec()));
+            let (kind, addr) = fill(c);
+            fused.on_event(kind, addr);
+            fused.on_run(&chunk[5..], |_, issued| expect.push(issued.to_vec()));
         }
         let mut split = SessionModel::build("resemble_frozen", 9, true).expect("builds");
         let mut got: Vec<Vec<u64>> = Vec::new();
-        let mut q = Matrix::default();
-        for chunk in t.chunks(17) {
-            assert!(split.window_prepare(chunk).is_some());
-            split.window_forward(&mut q);
-            split.window_commit(chunk, &q, 0, |_, issued| got.push(issued.to_vec()));
+        let mut scratch = resemble_nn::BatchScratch::default();
+        for (c, chunk) in t.chunks(17).enumerate() {
+            let (kind, addr) = fill(c);
+            let states = split
+                .window_prepare(chunk, &[(5, cache_event(kind, addr))])
+                .expect("mlp session")
+                .clone();
+            let net = split.inference_net().expect("mlp session");
+            let q = net.forward_batch(&states, &mut scratch);
+            split.window_commit(chunk, q, 0, |_, issued| got.push(issued.to_vec()));
         }
         assert_eq!(got, expect);
         assert_eq!(split.param_bits(), fused.param_bits());

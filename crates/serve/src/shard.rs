@@ -11,24 +11,28 @@
 //! set returns at once: the driver re-checks the readiness queue under
 //! the lock before it clears the flag, so a command enqueued meanwhile is
 //! never stranded. Each event-loop thread brings its own visit buffers
-//! and [`WeightPool`] (`Driver`). Sessions live in a slab
+//! and batch scratch (`Driver`). Sessions live in a slab
 //! (`Vec<Option<Slot>>` plus a free list) addressed by slot index —
 //! enqueues are O(1) instead of a linear id scan, and retired slots are
 //! recycled immediately. A session is in the readiness queue exactly when
 //! it has commands pending, so a visit never scans idle slots.
 //!
-//! A visit drains one ready session, and — when that session is
-//! *pool-eligible* (frozen MLP) and cross-session batching is on — steals
-//! every other ready session with the same [`SessionKey`] in the same
-//! pass. All their decision windows run phase A (`window_prepare`)
-//! per-session, then share **one** batched forward through the
-//! [`WeightPool`]'s copy of their common frozen weights, then commit
-//! phase C per-session. Because frozen same-key sessions have
-//! bit-identical never-changing weights and the batch kernels preserve
-//! per-row accumulation order, pooled decisions are bit-identical to
-//! serving each session alone. Sessions whose plans interleave events,
-//! and all non-frozen sessions, take the classic per-session path in the
-//! same visit.
+//! A visit drains one ready session, and — when that session is a frozen
+//! MLP and cross-session batching is on — steals every other ready
+//! session with the same [`SessionKey`] in the same pass. Each frozen
+//! session's drained plan is exactly one decision window, its cache
+//! events included: phase A (`window_prepare`) applies the events to the
+//! session's own bank at their positions and stacks its state rows into
+//! one matrix, then **one** batched forward runs over every row through
+//! the heading session's inference net (under `quantize_frozen`, through
+//! that session's int8 copy, built the first time it heads a window and
+//! kept in its slot), then phase C (`window_commit`) runs per session.
+//! Because frozen same-key sessions have bit-identical never-changing
+//! weights and the batch kernels preserve per-row accumulation order,
+//! pooled decisions are bit-identical to serving each session alone. A
+//! session that is not frozen is visited alone and replays its plan
+//! segment by segment, each event applied between the runs it arrived
+//! between.
 //!
 //! On a `Bye` the visit flushes the queue, answers `Goodbye`, optionally
 //! checkpoints the model (warm restart for the next same-key Hello), and
@@ -40,12 +44,12 @@
 //! scope): no panics, no literal indexing; poisoned locks are re-entered
 //! because a panicked peer thread must not take the server down.
 
-use crate::batcher::{drain_session, DrainPlan, PlanOp, SessionCmd};
-use crate::pool::{SessionKey, WeightPool};
-use crate::protocol::{encode_decision_into, Reply};
-use crate::session::{save_checkpoint_file, SessionModel};
+use crate::batcher::{drain_session, DrainPlan, SessionCmd};
+use crate::protocol::{encode_decision_into, EventKind, Reply};
+use crate::session::{cache_event, save_checkpoint_file, SessionModel};
 use crate::telemetry::Telemetry;
-use resemble_nn::Matrix;
+use resemble_nn::{BatchScratch, Matrix, QuantizedMlp};
+use resemble_prefetch::CacheEvent;
 use resemble_trace::MemAccess;
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -57,6 +61,22 @@ use std::time::{Duration, Instant};
 /// Consecutive `WouldBlock` stalls (at ~200µs each) tolerated on one
 /// `send` before the client is declared unresponsive (~5 s).
 const MAX_SEND_STALLS: u32 = 25_000;
+
+/// Row cap of one cross-session pooled window (`max_batch` when larger).
+const POOL_ROWS: usize = 4096;
+
+/// How a session's model was constructed: the Hello triple. Frozen
+/// sessions with equal keys have bit-identical, never-changing inference
+/// weights, which is what makes cross-session batching exact.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionKey {
+    /// Model registry name.
+    pub model: String,
+    /// Model seed.
+    pub seed: u64,
+    /// Fast (laptop-scale) configuration flag.
+    pub fast: bool,
+}
 
 /// The write half of a client connection, shared between the event-loop
 /// thread that owns the connection (Accepted/Busy/Error replies) and
@@ -141,11 +161,10 @@ pub(crate) struct VisitCfg {
     pub max_batch: usize,
     /// Batch decision windows across same-key frozen sessions.
     pub cross_session: bool,
-    /// Row cap of one cross-session pooled window.
-    pub pool_rows: usize,
-    /// Where to checkpoint MLP sessions on retire (`None` disables).
+    /// Where MLP sessions checkpoint on retire and warm-start at Hello
+    /// (`None` disables both).
     pub checkpoint_dir: Option<PathBuf>,
-    /// Run pooled frozen windows through the int8 quantized datapath
+    /// Run every frozen window through the int8 quantized datapath
     /// (`--quantize-frozen`). Off by default: quantized decisions are
     /// deterministic but not bit-identical to f32.
     pub quantize_frozen: bool,
@@ -156,7 +175,6 @@ impl Default for VisitCfg {
         Self {
             max_batch: 64,
             cross_session: true,
-            pool_rows: 4096,
             checkpoint_dir: None,
             quantize_frozen: false,
         }
@@ -172,7 +190,11 @@ struct Slot {
     decisions: u64,
     /// `true` while this slot index sits in the readiness queue.
     in_ready: bool,
-    pool_eligible: bool,
+    /// A frozen MLP session (`SessionModel::pool_eligible`).
+    frozen: bool,
+    /// The int8 copy of a frozen session's inference net under
+    /// `quantize_frozen`, built the first time the session heads a window.
+    qnet: Option<QuantizedMlp>,
     key: SessionKey,
 }
 
@@ -197,21 +219,17 @@ struct VisitEntry {
     id: u64,
     conn: Arc<Conn>,
     model: SessionModel,
+    qnet: Option<QuantizedMlp>,
     prior: u64,
     plan: DrainPlan,
-    /// This entry's run joins the cross-session pooled window.
-    pooled: bool,
-    /// First row of this entry's run inside the pooled state matrix.
+    /// A frozen MLP session: its plan is one decision window through the
+    /// visit's shared forward.
+    frozen: bool,
+    /// First row of this entry's window inside the stacked state matrix.
     row0: usize,
     served: u64,
     /// Set when retiring with checkpoints enabled.
     ckpt_key: Option<SessionKey>,
-}
-
-/// A plan can join a pooled window iff it is a single uninterrupted run
-/// (events force the classic in-order path; timeouts and Bye are fine).
-fn plan_poolable(plan: &DrainPlan) -> bool {
-    plan.ops.len() <= 1 && plan.ops.iter().all(|op| matches!(op, PlanOp::Run { .. }))
 }
 
 /// Take a slot's model and drain its queue into a fresh plan, producing
@@ -227,16 +245,16 @@ fn checkout(
     let model = slot.model.take()?;
     let mut plan = spare.pop().unwrap_or_default();
     drain_session(&mut slot.queue, cfg.max_batch.max(1), now, &mut plan);
-    let pooled = slot.pool_eligible && plan_poolable(&plan);
     let ckpt_key = (plan.saw_bye && cfg.checkpoint_dir.is_some()).then(|| slot.key.clone());
     Some(VisitEntry {
         slot: idx,
         id: slot.id,
         conn: Arc::clone(&slot.conn),
         model,
+        qnet: slot.qnet.take(),
         prior: slot.decisions,
         plan,
-        pooled,
+        frozen: slot.frozen,
         row0: 0,
         served: 0,
         ckpt_key,
@@ -271,7 +289,7 @@ impl Shard {
         conn: Arc<Conn>,
         key: SessionKey,
     ) -> usize {
-        let pool_eligible = model.pool_eligible();
+        let frozen = model.pool_eligible();
         let slot = Slot {
             id,
             model: Some(model),
@@ -279,7 +297,8 @@ impl Shard {
             conn,
             decisions: 0,
             in_ready: false,
-            pool_eligible,
+            frozen,
+            qnet: None,
             key,
         };
         // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
@@ -346,9 +365,9 @@ impl Shard {
         }
     }
 
-    /// Steal every other ready session with `key` into the visit (up to
-    /// `pool_rows` pooled rows), preserving the readiness order of the
-    /// sessions left behind.
+    /// Steal every other ready frozen session with `key` into the visit
+    /// (up to [`POOL_ROWS`] pooled rows), preserving the readiness order
+    /// of the sessions left behind.
     fn gather_pooled(
         g: &mut Inner,
         key: &SessionKey,
@@ -358,7 +377,7 @@ impl Shard {
         entries: &mut Vec<VisitEntry>,
         keep: &mut VecDeque<usize>,
     ) {
-        let cap_rows = cfg.pool_rows.max(cfg.max_batch.max(1));
+        let cap_rows = POOL_ROWS.max(cfg.max_batch.max(1));
         let mut rows: usize = entries.iter().map(|e| e.plan.run.len()).sum();
         keep.clear();
         while let Some(i) = g.ready.pop_front() {
@@ -369,19 +388,15 @@ impl Shard {
             let Some(slot) = g.slots.get_mut(i).and_then(|s| s.as_mut()) else {
                 continue; // retired: falls out of the readiness queue
             };
-            let steal = slot.pool_eligible
-                && slot.key == *key
-                && slot.model.is_some()
-                && !slot.queue.is_empty();
+            let steal =
+                slot.frozen && slot.key == *key && slot.model.is_some() && !slot.queue.is_empty();
             if !steal {
                 keep.push_back(i);
                 continue;
             }
             slot.in_ready = false;
             if let Some(e) = checkout(g, i, now, cfg, spare) {
-                if e.pooled {
-                    rows += e.plan.run.len();
-                }
+                rows += e.plan.run.len();
                 entries.push(e);
             }
         }
@@ -414,7 +429,7 @@ impl Shard {
                 continue;
             };
             d.entries.clear();
-            let pool_key = (d.cfg.cross_session && first.pooled)
+            let pool_key = (d.cfg.cross_session && first.frozen)
                 .then(|| {
                     g.slots
                         .get(first_idx)
@@ -436,7 +451,7 @@ impl Shard {
             }
             drop(g);
 
-            d.visit(pool_key.as_ref(), telemetry);
+            d.visit(telemetry);
 
             // Return models (or retire on Bye) and recycle plans.
             // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
@@ -451,6 +466,7 @@ impl Shard {
                             telemetry.session_closed();
                         } else if let Some(slot) = slot_opt.as_mut() {
                             slot.model = Some(e.model);
+                            slot.qnet = e.qnet;
                             slot.decisions = e.prior + e.served;
                             if !slot.queue.is_empty() && !slot.in_ready {
                                 slot.in_ready = true;
@@ -466,111 +482,114 @@ impl Shard {
     }
 }
 
-/// One event-loop thread's visit state: its own [`WeightPool`] and the
-/// buffers every visit reuses. Never shared between threads.
+/// One event-loop thread's visit state: the batch scratch of its shared
+/// forwards and the buffers every visit reuses. Never shared between
+/// threads.
 pub(crate) struct Driver {
     cfg: VisitCfg,
-    pool: WeightPool,
     entries: Vec<VisitEntry>,
     spare_plans: Vec<DrainPlan>,
     keep: VecDeque<usize>,
     acc_buf: Vec<(MemAccess, bool)>,
+    ev_buf: Vec<(usize, CacheEvent)>,
     counts: Vec<usize>,
     out_buf: Vec<u8>,
     states: Matrix,
+    scratch: BatchScratch,
     q: Matrix,
-    q_own: Matrix,
 }
 
 impl Driver {
-    /// Empty buffers and an empty pool for `cfg`.
+    /// Empty buffers for `cfg`.
     pub(crate) fn new(cfg: VisitCfg) -> Driver {
         Driver {
-            pool: WeightPool::new(8).quantized(cfg.quantize_frozen),
             cfg,
             entries: Vec::new(),
             spare_plans: Vec::new(),
             keep: VecDeque::new(),
             acc_buf: Vec::new(),
+            ev_buf: Vec::new(),
             counts: Vec::new(),
             out_buf: Vec::new(),
             states: Matrix::default(),
+            scratch: BatchScratch::default(),
             q: Matrix::default(),
-            q_own: Matrix::default(),
         }
     }
 
-    /// Execute the checked-out `entries`: the pooled window's shared
-    /// forward when `pool_key` is set, each session's commit or classic
-    /// runs, and one socket write per session.
-    fn visit(&mut self, pool_key: Option<&SessionKey>, telemetry: &Telemetry) {
+    /// Execute the checked-out `entries` — every frozen one (all of them,
+    /// or none) as one decision window with a single shared forward, a
+    /// lone unfrozen one segment by segment — and write each session's
+    /// replies in one socket write.
+    fn visit(&mut self, telemetry: &Telemetry) {
         let Driver {
             cfg,
-            pool,
             entries,
             acc_buf,
+            ev_buf,
             counts,
             out_buf,
             states,
+            scratch,
             q,
-            q_own,
             ..
         } = self;
-        // Phase A + B of the pooled window: per-session prepare into
-        // one stacked state matrix, then a single shared forward.
-        let pooled_rows: usize = entries
+        // Phase A: each frozen session prepares its whole plan, events
+        // included, into one stacked state matrix.
+        let rows: usize = entries
             .iter()
-            .filter(|e| e.pooled)
+            .filter(|e| e.frozen)
             .map(|e| e.plan.run.len())
             .sum();
-        let pooled_sessions = entries.iter().filter(|e| e.pooled).count();
-        let mut prepared = false;
-        let mut pooled_ok = false;
-        if pool_key.is_some() && pooled_rows > 0 {
-            let dim = entries
-                .first()
-                .and_then(|e| e.model.inference_net())
-                .map(|n| n.input_dim())
-                .unwrap_or(0);
-            if dim > 0 {
-                prepared = true;
-                states.resize(pooled_rows, dim);
-                let mut row = 0usize;
-                for e in entries.iter_mut().filter(|e| e.pooled) {
-                    e.row0 = row;
-                    acc_buf.clear();
-                    acc_buf.extend(e.plan.run.iter().map(|r| (r.access, r.hit)));
-                    if let Some(st) = e.model.window_prepare(acc_buf) {
-                        for k in 0..st.rows() {
-                            states.row_mut(row + k).copy_from_slice(st.row(k));
-                        }
-                    }
-                    row += e.plan.run.len();
-                }
-                pooled_ok = match (pool_key, entries.first()) {
-                    (Some(key), Some(e)) => pool.forward_into(key, &e.model, states, q),
-                    _ => false,
-                };
-                if pooled_ok {
-                    telemetry.batch(pooled_rows);
-                    if pooled_sessions >= 2 {
-                        telemetry.pool_batch(pooled_sessions);
-                    }
-                    if pool.quantize_enabled() {
-                        telemetry.quantized_window(pooled_sessions);
-                    }
+        let sessions = entries.iter().filter(|e| e.frozen).count();
+        let dim = entries
+            .iter()
+            .find(|e| e.frozen)
+            .and_then(|e| e.model.inference_net())
+            .map_or(0, |n| n.input_dim());
+        states.resize(rows, dim);
+        let mut row = 0usize;
+        for e in entries.iter_mut().filter(|e| e.frozen) {
+            e.row0 = row;
+            acc_buf.clear();
+            acc_buf.extend(e.plan.run.iter().map(|r| (r.access, r.hit)));
+            ev_buf.clear();
+            ev_buf.extend(
+                e.plan
+                    .events
+                    .iter()
+                    .map(|&(at, kind, addr)| (at, cache_event(kind, addr))),
+            );
+            if let Some(st) = e.model.window_prepare(acc_buf, ev_buf) {
+                for k in 0..st.rows() {
+                    states.row_mut(row + k).copy_from_slice(st.row(k));
                 }
             }
+            row += e.plan.run.len();
         }
-        if !prepared {
-            // Nothing was prepared: the classic per-session path is
-            // still safe for everyone.
-            for e in entries.iter_mut() {
-                e.pooled = false;
+        // Phase B: one forward over every frozen row through the heading
+        // session's net, or its int8 copy. Same-key frozen weights are
+        // bit-identical, so which session heads cannot change a row.
+        let mut q_rows: Option<&Matrix> = None;
+        if let Some(head) = entries.first_mut().filter(|e| e.frozen && rows > 0) {
+            let VisitEntry { model, qnet, .. } = head;
+            if let Some(net) = model.inference_net() {
+                telemetry.batch(rows);
+                if sessions >= 2 {
+                    telemetry.pool_batch(sessions);
+                }
+                q_rows = Some(if cfg.quantize_frozen {
+                    telemetry.quantized_window(sessions);
+                    qnet.get_or_insert_with(|| QuantizedMlp::from_mlp(net))
+                        .forward_into(states, q);
+                    q
+                } else {
+                    net.forward_batch(states, scratch)
+                });
             }
         }
 
-        // Phase C / classic execution, replies, and one socket write
+        // Phase C (or the unfrozen replay), replies, and one socket write
         // per session.
         for e in entries.iter_mut() {
             let VisitEntry {
@@ -578,7 +597,7 @@ impl Driver {
                 conn,
                 model,
                 plan,
-                pooled,
+                frozen,
                 row0,
                 prior,
                 served,
@@ -586,68 +605,32 @@ impl Driver {
                 ..
             } = e;
             out_buf.clear();
-            let mut n_served = 0u64;
-            if *pooled {
-                let reqs = &plan.run;
-                acc_buf.clear();
-                acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
-                counts.clear();
-                if pooled_ok {
-                    model.window_commit(acc_buf, q, *row0, |k, issued| {
-                        if let Some(r) = reqs.get(k) {
-                            encode_decision_into(out_buf, r.req_id, issued);
-                        }
-                        counts.push(issued.len());
-                    });
-                } else {
-                    // Defensive fallback: forward through the
-                    // session's own (identical) frozen weights.
-                    model.window_forward(q_own);
-                    model.window_commit(acc_buf, q_own, 0, |k, issued| {
-                        if let Some(r) = reqs.get(k) {
-                            encode_decision_into(out_buf, r.req_id, issued);
-                        }
-                        counts.push(issued.len());
-                    });
-                    telemetry.batch(reqs.len());
+            counts.clear();
+            acc_buf.clear();
+            acc_buf.extend(plan.run.iter().map(|r| (r.access, r.hit)));
+            let reqs = &plan.run;
+            let mut emit = |k: usize, issued: &[u64]| {
+                if let Some(r) = reqs.get(k) {
+                    encode_decision_into(out_buf, r.req_id, issued);
                 }
-                let done = Instant::now();
-                for (r, c) in reqs.iter().zip(counts.iter()) {
-                    let us = done.saturating_duration_since(r.enqueued).as_micros();
-                    telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
+                counts.push(issued.len());
+            };
+            if *frozen {
+                if let Some(q) = q_rows {
+                    model.window_commit(acc_buf, q, *row0, &mut emit);
                 }
-                n_served = reqs.len() as u64;
             } else {
-                // Classic path: events apply in stream order, each
-                // run is its own batched decision window.
-                for op in &plan.ops {
-                    match *op {
-                        PlanOp::Event { kind, addr } => {
-                            model.on_event(kind, addr);
-                            telemetry.event();
-                        }
-                        PlanOp::Run { start, len } => {
-                            let reqs = plan.run.get(start..start + len).unwrap_or(&[]);
-                            acc_buf.clear();
-                            acc_buf.extend(reqs.iter().map(|r| (r.access, r.hit)));
-                            counts.clear();
-                            model.on_run(acc_buf, |k, issued| {
-                                if let Some(r) = reqs.get(k) {
-                                    encode_decision_into(out_buf, r.req_id, issued);
-                                }
-                                counts.push(issued.len());
-                            });
-                            let done = Instant::now();
-                            for (r, c) in reqs.iter().zip(counts.iter()) {
-                                let us = done.saturating_duration_since(r.enqueued).as_micros();
-                                telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
-                            }
-                            telemetry.batch(reqs.len());
-                            n_served += reqs.len() as u64;
-                        }
-                    }
-                }
+                replay(model, acc_buf, &plan.events, &mut emit, telemetry);
             }
+            for _ in &plan.events {
+                telemetry.event();
+            }
+            let done = Instant::now();
+            for (r, c) in reqs.iter().zip(counts.iter()) {
+                let us = done.saturating_duration_since(r.enqueued).as_micros();
+                telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
+            }
+            let n_served = counts.len() as u64;
             for r in &plan.timed_out {
                 Reply::TimedOut { req_id: r.req_id }.encode_into(out_buf);
                 telemetry.timeout();
@@ -676,10 +659,40 @@ impl Driver {
     }
 }
 
+/// Serve an unfrozen session's plan as consecutive windows: each event
+/// through `on_event` at its position, each event-free segment of `run`
+/// through one `on_run`.
+fn replay(
+    model: &mut SessionModel,
+    run: &[(MemAccess, bool)],
+    events: &[(usize, EventKind, u64)],
+    emit: &mut impl FnMut(usize, &[u64]),
+    telemetry: &Telemetry,
+) {
+    let mut events = events.iter().peekable();
+    let mut start = 0usize;
+    loop {
+        while let Some(&(_, kind, addr)) = events.next_if(|e| e.0 <= start) {
+            model.on_event(kind, addr);
+        }
+        if start >= run.len() {
+            return;
+        }
+        // Every event left lies past `start`, so the segment is nonempty.
+        let end = events.peek().map_or(run.len(), |e| e.0.min(run.len()));
+        let segment = run.get(start..end).unwrap_or(&[]);
+        model.on_run(segment, |k, issued| emit(start + k, issued));
+        telemetry.batch(segment.len());
+        start = end;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::AccessReq;
+    use crate::protocol::read_frame;
+    use crate::session::offline_decisions;
     use std::net::{TcpListener, TcpStream};
 
     fn loopback_conn() -> (Arc<Conn>, TcpStream) {
@@ -698,6 +711,21 @@ mod tests {
             enqueued: Instant::now(),
             deadline: None,
         })
+    }
+
+    /// Read a client's replies up to its Goodbye: the decision per
+    /// request id, in arrival order.
+    fn decisions_until_goodbye(client: &mut TcpStream) -> Vec<(u32, Vec<u64>)> {
+        let mut payload = Vec::new();
+        let mut got = Vec::new();
+        while let Some(ty) = read_frame(client, &mut payload).expect("reply frame") {
+            match Reply::decode(ty, &payload).expect("valid reply") {
+                Reply::Decision { req_id, prefetches } => got.push((req_id, prefetches)),
+                Reply::Goodbye { .. } => break,
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        got
     }
 
     fn key(model: &str, seed: u64) -> SessionKey {
@@ -911,5 +939,83 @@ mod tests {
         assert!(s.quantized_sessions >= 2);
         drop(client_a);
         drop(client_b);
+    }
+    #[test]
+    fn event_bearing_frozen_session_pools_with_a_plain_one() {
+        // A frozen session whose plan carries cache events shares one
+        // pooled window with a plain same-key session, and both still
+        // serve exactly the offline decisions of their own streams.
+        let shard = Shard::new();
+        let (conn_a, mut client_a) = loopback_conn();
+        let (conn_b, mut client_b) = loopback_conn();
+        let k = key("resemble_frozen", 17);
+        let build = || SessionModel::build("resemble_frozen", 17, true).expect("builds");
+        let slot_a = shard.register(1, build(), conn_a, k.clone());
+        let slot_b = shard.register(2, build(), conn_b, k);
+        let fill = |i: u32| SessionCmd::Event {
+            kind: EventKind::DemandFill,
+            addr: 0x2000 + u64::from(i) * 64 - 128,
+        };
+        for i in 0..12 {
+            if i % 2 == 1 {
+                assert_eq!(shard.enqueue(slot_a, 1, fill(i), 64), Enqueue::Accepted);
+            }
+            assert_eq!(shard.enqueue(slot_a, 1, access(i), 64), Enqueue::Accepted);
+            assert_eq!(
+                shard.enqueue(slot_b, 2, access(i + 100), 64),
+                Enqueue::Accepted
+            );
+        }
+        for (slot, id) in [(slot_a, 1), (slot_b, 2)] {
+            assert_eq!(
+                shard.enqueue(slot, id, SessionCmd::Bye, 64),
+                Enqueue::Accepted
+            );
+        }
+        let telemetry = Telemetry::new();
+        shard.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
+        let s = telemetry.snapshot();
+        assert_eq!(s.decisions, 24);
+        assert_eq!(s.events, 6);
+        assert!(s.pool_batches >= 1, "the event-bearing session pooled");
+
+        let trace = |base: u32| -> Vec<(MemAccess, bool)> {
+            (base..base + 12)
+                .filter_map(|i| match access(i) {
+                    SessionCmd::Access(r) => Some((r.access, r.hit)),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Offline: session A's events between the accesses they precede.
+        let (ta, tb) = (trace(0), trace(100));
+        let mut offline_a = build();
+        let mut expect_a = Vec::new();
+        for (i, step) in ta.iter().enumerate() {
+            if let SessionCmd::Event { kind, addr } = fill(i as u32) {
+                if i % 2 == 1 {
+                    offline_a.on_event(kind, addr);
+                }
+            }
+            expect_a.extend(offline_decisions(
+                &mut offline_a,
+                std::slice::from_ref(step),
+            ));
+        }
+        let expect_b = offline_decisions(&mut build(), &tb);
+        let served = |got: Vec<(u32, Vec<u64>)>, base: u32| -> Vec<Vec<u64>> {
+            got.into_iter()
+                .enumerate()
+                .map(|(k, (id, d))| {
+                    assert_eq!(id, base + k as u32, "replies in stream order");
+                    d
+                })
+                .collect()
+        };
+        assert_eq!(served(decisions_until_goodbye(&mut client_a), 0), expect_a);
+        assert_eq!(
+            served(decisions_until_goodbye(&mut client_b), 100),
+            expect_b
+        );
     }
 }

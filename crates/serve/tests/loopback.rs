@@ -3,7 +3,9 @@
 //! concurrent interleaved sessions), batched == batch-of-1, backpressure
 //! and deadline behaviour, and graceful drain with in-flight requests.
 
-use resemble_serve::{offline_decisions, Reply, ServeClient, ServeConfig, Server, SessionModel};
+use resemble_serve::{
+    offline_decisions, EventKind, Reply, ServeClient, ServeConfig, Server, SessionModel,
+};
 use resemble_trace::gen::stream::StreamGen;
 use resemble_trace::gen::TraceSource;
 use resemble_trace::MemAccess;
@@ -27,6 +29,19 @@ fn serve_trace(
     trace: &[(MemAccess, bool)],
     window: usize,
 ) -> Vec<Vec<u64>> {
+    serve_with_fills(addr, model, seed, trace, window, false)
+}
+
+/// [`serve_trace`], optionally sending a `DemandFill` of the line two
+/// blocks back before every other access.
+fn serve_with_fills(
+    addr: std::net::SocketAddr,
+    model: &str,
+    seed: u64,
+    trace: &[(MemAccess, bool)],
+    window: usize,
+    fills: bool,
+) -> Vec<Vec<u64>> {
     let mut client = ServeClient::connect(addr).expect("connect");
     client.hello(model, seed, true).expect("hello accepted");
     let mut decisions: Vec<Vec<u64>> = vec![Vec::new(); trace.len()];
@@ -35,6 +50,10 @@ fn serve_trace(
     while next < trace.len() || awaiting > 0 {
         while next < trace.len() && awaiting < window {
             let (access, hit) = trace[next];
+            if fills && next % 2 == 1 {
+                let line = (access.addr & !63).saturating_sub(128);
+                client.queue_event(EventKind::DemandFill, line);
+            }
             client.queue_access(next as u32, 0, access, hit);
             next += 1;
             awaiting += 1;
@@ -225,6 +244,55 @@ fn quantize_frozen_decisions_agree_with_f32_pooled_serving() {
          pin and the documented disagreement rate",
         total - agree
     );
+}
+
+#[test]
+fn quantize_frozen_takes_int8_on_every_window_with_events() {
+    // Under `quantize_frozen` every frozen window runs int8, including a
+    // session whose plans carry cache events, pooled or alone: each
+    // decision window is a quantized window. Its decisions depend only on
+    // the stream, not on how the frames were grouped into reads.
+    let n = 1200;
+    let seed = 503u64;
+    let trace = session_trace(seed, n);
+    for cross_session in [true, false] {
+        let mut by_depth = Vec::new();
+        for depth in [1usize, 24] {
+            let server = Server::start(
+                ServeConfig {
+                    shards: 1,
+                    max_batch: 32,
+                    cross_session,
+                    quantize_frozen: true,
+                    ..ServeConfig::default()
+                },
+                SessionModel::default_builder(),
+            )
+            .expect("server starts");
+            let got = serve_with_fills(
+                server.local_addr(),
+                "resemble_frozen",
+                seed,
+                &trace,
+                depth,
+                true,
+            );
+            let snap = server.shutdown();
+            let arrangement = format!("cross_session {cross_session}, depth {depth}");
+            assert_eq!(snap.decisions, n as u64, "{arrangement}");
+            assert_eq!(snap.events, (n / 2) as u64, "{arrangement}");
+            assert!(snap.batches > 0, "{arrangement}");
+            assert_eq!(
+                snap.quantized_windows, snap.batches,
+                "{arrangement}: windows that skipped the int8 datapath"
+            );
+            by_depth.push(got);
+        }
+        assert_eq!(
+            by_depth[0], by_depth[1],
+            "cross_session {cross_session}: int8 decisions depend on pipelining depth"
+        );
+    }
 }
 
 #[test]
