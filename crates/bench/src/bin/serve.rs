@@ -7,7 +7,10 @@
 //!       --snapshot telemetry.jsonl --snapshot-secs 5
 //! ```
 //!
-//! `--checkpoint-dir` enables warm restarts: every MLP session saves its
+//! Each of the `--shards` belongs to one of `min(--io-threads, --shards)`
+//! event-loop threads, which reads, decides and answers every request of
+//! the shard's sessions; more threads than shards would sit idle, so the
+//! server starts no more. `--checkpoint-dir` enables warm restarts: every MLP session saves its
 //! learned state on Bye, and a later Hello with the same
 //! `(model, seed, fast)` resumes from the saved file. Cross-session
 //! batching of frozen same-key sessions is on by default; disable with

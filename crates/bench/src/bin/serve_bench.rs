@@ -45,6 +45,7 @@ use resemble_trace::gen::stream::StreamGen;
 use resemble_trace::gen::TraceSource;
 use resemble_trace::MemAccess;
 use serde::Serialize;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, OnceLock};
 use std::time::Instant;
 
@@ -235,7 +236,8 @@ struct HighSessionReport {
 }
 
 /// Best-effort raise of RLIMIT_NOFILE toward `target` (the scenario
-/// needs ~2 fds per session), returning the limit now in effect.
+/// needs 3 fds per session: the client's stream and its cloned reader,
+/// and the server's end), returning the limit now in effect.
 fn raise_nofile_limit(target: u64) -> u64 {
     #[repr(C)]
     struct RLimit {
@@ -379,8 +381,12 @@ struct HighSessionSetup<'a> {
 /// streams its own trace. Drivers are bulk-synchronous: each owns a block
 /// of sessions and per round sends `window` accesses on every one, then
 /// collects the replies, so ~`sessions` sessions are concurrently ready
-/// at all times.
-fn run_high_session_phase(setup: &HighSessionSetup, cross_session: bool) -> HighSessionPhase {
+/// at all times. A driver that cannot open its sessions ends the scenario
+/// with an error.
+fn run_high_session_phase(
+    setup: &HighSessionSetup,
+    cross_session: bool,
+) -> Result<HighSessionPhase, String> {
     let &HighSessionSetup {
         model,
         sessions,
@@ -405,26 +411,38 @@ fn run_high_session_phase(setup: &HighSessionSetup, cross_session: bool) -> High
     let addr = server.local_addr();
     let drivers = 16usize.min(sessions.max(1));
     let barrier = Barrier::new(drivers);
+    let setup_failed = AtomicBool::new(false);
     let t0: OnceLock<Instant> = OnceLock::new();
-    let served: u64 = std::thread::scope(|s| {
+    let served: Result<Vec<u64>, String> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..drivers)
             .map(|d| {
-                let barrier = &barrier;
-                let t0 = &t0;
-                s.spawn(move || {
+                let (barrier, setup_failed, t0) = (&barrier, &setup_failed, &t0);
+                s.spawn(move || -> Result<u64, String> {
                     let lo = sessions * d / drivers;
                     let hi = sessions * (d + 1) / drivers;
-                    let mut clients: Vec<ServeClient> = Vec::with_capacity(hi - lo);
-                    let mut traces: Vec<Vec<(MemAccess, bool)>> = Vec::with_capacity(hi - lo);
-                    for i in lo..hi {
-                        let mut c = ServeClient::connect(addr).expect("connect");
-                        c.hello(model, seed, true).expect("hello accepted");
-                        clients.push(c);
-                        traces.push(session_trace(seed + 1 + i as u64 * 7919, accesses));
+                    let opened: std::io::Result<Vec<ServeClient>> = (lo..hi)
+                        .map(|_| {
+                            let mut c = ServeClient::connect(addr)?;
+                            c.hello(model, seed, true)?;
+                            Ok(c)
+                        })
+                        .collect();
+                    if opened.is_err() {
+                        setup_failed.store(true, Ordering::SeqCst);
                     }
+                    let traces: Vec<Vec<(MemAccess, bool)>> = (lo..hi)
+                        .map(|i| session_trace(seed + 1 + i as u64 * 7919, accesses))
+                        .collect();
                     // Setup (connects + per-session model builds) is
-                    // excluded from the measured window.
+                    // excluded from the measured window. Every driver
+                    // reaches the barrier, even one whose set-up failed,
+                    // so none is left waiting for it.
                     barrier.wait();
+                    let mut clients =
+                        opened.map_err(|e| format!("driver {d} could not open a session: {e}"))?;
+                    if setup_failed.load(Ordering::SeqCst) {
+                        return Ok(0); // the failed driver's error ends the scenario
+                    }
                     let _ = t0.set(Instant::now());
                     let mut decisions = 0u64;
                     let mut pos = 0usize;
@@ -457,28 +475,32 @@ fn run_high_session_phase(setup: &HighSessionSetup, cross_session: bool) -> High
                             }
                         }
                     }
-                    decisions
+                    Ok(decisions)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("driver")).sum()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("driver"))
+            .collect()
     });
     let elapsed = t0
         .get()
         .map(|t| t.elapsed().as_secs_f64())
         .unwrap_or(f64::MIN_POSITIVE);
     let snapshot = server.shutdown();
+    let served: u64 = served?.iter().sum();
     assert_eq!(
         snapshot.decisions, served,
         "telemetry vs client decision count"
     );
-    HighSessionPhase {
+    Ok(HighSessionPhase {
         cross_session,
         elapsed_s: elapsed,
         decisions_per_s: served as f64 / elapsed.max(1e-9),
         latency_us_p99: snapshot.latency_us_p99,
         snapshot,
-    }
+    })
 }
 
 fn main() {
@@ -530,8 +552,8 @@ fn main() {
     // comparison.
     let io_threads = opts.usize("io-threads", 1);
     let hisess_shards = 1;
-    let nofile_limit = raise_nofile_limit(hisess_req as u64 * 2 + 256);
-    let fd_budget = usize::try_from(nofile_limit.saturating_sub(128) / 2).unwrap_or(hisess_req);
+    let nofile_limit = raise_nofile_limit(hisess_req as u64 * 3 + 256);
+    let fd_budget = usize::try_from(nofile_limit.saturating_sub(128) / 3).unwrap_or(hisess_req);
     let hisess_sessions = hisess_req.min(fd_budget).max(1);
     if hisess_sessions < hisess_req {
         eprintln!(
@@ -552,8 +574,14 @@ fn main() {
         io_threads,
         seed,
     };
-    let pooled = run_high_session_phase(&setup, true);
-    let per_session = run_high_session_phase(&setup, false);
+    let run = |cross_session| {
+        run_high_session_phase(&setup, cross_session).unwrap_or_else(|e| {
+            eprintln!("serve_bench: high-session scenario failed: {e}");
+            std::process::exit(1)
+        })
+    };
+    let pooled = run(true);
+    let per_session = run(false);
     let pool_speedup = pooled.decisions_per_s / per_session.decisions_per_s.max(1e-9);
 
     // Int8 quantized-serving scenario: the pooled forward datapath on the

@@ -11,7 +11,7 @@
 //!    `Mutex` / `RwLock` (including through `Arc<…>`) becomes a named
 //!    lock `Type::field`.
 //! 2. **Function table** — every `fn` with a body, qualified by its
-//!    enclosing `impl` type (`Shard::lock`) or bare for free functions,
+//!    enclosing `impl` type (`Queue::guard`) or bare for free functions,
 //!    with the token range of the body.
 //! 3. **Occurrences** — inside each body: lock acquisitions
 //!    (`x.field.lock()` / `.read()` / `.write()` on a registered field),
@@ -23,7 +23,7 @@
 //!    statement for un-bound temporaries, or to the end of the function
 //!    when the guard is the tail expression — in which case the function
 //!    is marked as *returning* that guard, and its call sites count as
-//!    acquisitions themselves (`Shard::lock()` → holds `Shard::inner`).
+//!    acquisitions themselves (`Queue::guard()` → holds `Queue::items`).
 //! 5. **Call summaries** — a fixpoint propagates the set of locks each
 //!    function may acquire through the (name-resolved) call graph, so
 //!    `f` holding lock A while calling `g` picks up every lock `g` can
@@ -175,14 +175,14 @@ pub fn build(ctxs: &[FileCtx]) -> WorkspaceIndex {
     }
 
     // Pass 3: guard-returning helpers, one extra round so a wrapper of a
-    // guard-returning helper is recognised too (the live tree has depth
-    // one: `Shard::lock`).
+    // guard-returning helper is recognised too (the live tree has none;
+    // `tail_guard_marks_fn_as_guard_returning_and_propagates` covers one).
     for _ in 0..2 {
         propagate_returned_guards(&mut idx, ctxs);
     }
 
     // Pass 4: a call to a guard-returning helper IS an acquisition at the
-    // call site (`let g = self.lock();` holds `Shard::inner` until the
+    // call site (`let g = self.guard();` holds `Queue::items` until the
     // guard dies) — materialise those as synthetic acquires with their
     // own hold regions.
     add_synthetic_acquires(&mut idx, ctxs);

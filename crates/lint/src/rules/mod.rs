@@ -91,8 +91,8 @@ pub const UNSAFE_ALLOWED_FILES: &[&str] = &[
 /// `.lock()`, `thread::sleep`, blocking `recv()`, or unbounded
 /// `write_all` (`blocking-in-event-loop`).
 /// - `event_loop.rs`: accept, frame reads, and connection lifecycle;
-/// - `shard.rs`: the decision visits each event loop runs after its
-///   `epoll_wait` batch, and `Conn::send`.
+/// - `shard.rs`: the decision visits each event loop runs over its own
+///   shards after its `epoll_wait` batch, and `send`'s bounded stall.
 pub const EVENT_LOOP_HOT_FILES: &[&str] = &[
     "crates/serve/src/event_loop.rs",
     "crates/serve/src/shard.rs",

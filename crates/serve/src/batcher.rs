@@ -2,9 +2,9 @@
 //! drain plan of decision requests, position-tagged events, and expired
 //! requests.
 //!
-//! A shard visit calls [`drain_session`] under the shard lock (it only
-//! moves queue entries — no model work, no I/O), then executes the plan
-//! with the lock released. The plan preserves the queue's stream order
+//! A shard visit calls `drain_session` as it checks a session out (it
+//! only moves queue entries — no model work, no I/O), then executes the
+//! plan. The plan preserves the queue's stream order
 //! exactly: live accesses collect into one run, and each cache event is
 //! tagged with the index in that run of the access it precedes, so the
 //! model can apply it between the accesses it arrived between. Requests
@@ -67,22 +67,12 @@ pub struct DrainPlan {
 }
 
 impl DrainPlan {
-    /// An empty reusable plan.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Reset for the next drain, keeping allocations.
     pub fn clear(&mut self) {
         self.run.clear();
         self.events.clear();
         self.timed_out.clear();
         self.saw_bye = false;
-    }
-
-    /// Nothing was drained.
-    pub fn is_empty(&self) -> bool {
-        self.run.is_empty() && self.events.is_empty() && self.timed_out.is_empty() && !self.saw_bye
     }
 }
 
@@ -139,7 +129,7 @@ mod tests {
     #[test]
     fn coalesces_consecutive_accesses_into_one_run() {
         let mut q: VecDeque<SessionCmd> = (0..5).map(|i| req(i, None)).collect();
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![0, 1, 2, 3, 4]);
         assert!(plan.events.is_empty());
@@ -150,7 +140,7 @@ mod tests {
     #[test]
     fn respects_max_accesses_and_leaves_the_rest() {
         let mut q: VecDeque<SessionCmd> = (0..10).map(|i| req(i, None)).collect();
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 4, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![0, 1, 2, 3]);
         assert_eq!(q.len(), 6);
@@ -178,7 +168,7 @@ mod tests {
             },
             addr: 0xc0,
         });
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![0, 1, 2]);
         assert_eq!(
@@ -207,7 +197,7 @@ mod tests {
             addr: 0x40,
         });
         q.push_back(req(2, None));
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 2, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![0, 1]);
         assert!(plan.events.is_empty());
@@ -230,7 +220,7 @@ mod tests {
             addr: 0x40,
         });
         q.push_back(req(2, None));
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, now, &mut plan);
         // The two live accesses still batch as one contiguous run.
         assert_eq!(run_ids(&plan), vec![0, 2]);
@@ -248,7 +238,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(req(0, None));
         q.push_back(SessionCmd::Bye);
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
         assert!(plan.saw_bye);
         assert_eq!(run_ids(&plan), vec![0]);
@@ -258,8 +248,9 @@ mod tests {
     #[test]
     fn empty_queue_drains_to_empty_plan() {
         let mut q = VecDeque::new();
-        let mut plan = DrainPlan::new();
+        let mut plan = DrainPlan::default();
         drain_session(&mut q, 8, Instant::now(), &mut plan);
-        assert!(plan.is_empty());
+        assert!(plan.run.is_empty() && plan.events.is_empty() && plan.timed_out.is_empty());
+        assert!(!plan.saw_bye);
     }
 }

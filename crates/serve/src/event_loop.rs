@@ -6,29 +6,33 @@
 //! a `JoinHandle` into grow-only vectors that were pruned only at
 //! shutdown, so every connection leaked an fd, a thread, and its stack
 //! until the process drained. Here connections live in a slab owned by
-//! their event-loop thread: the epoll token *is* the slab index, closing
-//! a connection deregisters it and recycles the slot immediately, and the
-//! thread count is fixed by config rather than by client count. Leak
-//! freedom is by construction, and `connections_opened ==
-//! connections_closed` after drain is asserted by the churn tests.
+//! their event-loop thread: the epoll token *is* the slab index, a
+//! retired session frees its connection and recycles the slot
+//! immediately, and the thread count is fixed by config rather than by
+//! client count. Leak freedom is by construction, and
+//! `connections_opened == connections_closed` after drain is asserted by
+//! the churn tests.
 //!
-//! Thread 0 owns the nonblocking listener and distributes accepted
-//! streams round-robin across all event-loop threads through eventfd-woken
-//! mailboxes. Each thread runs level-triggered `epoll_wait` over its own
-//! connections: reads are nonblocking with per-connection frame
-//! reassembly buffers, a Hello registers the session on shard
-//! `id % shards` (infallible modulo indexing — a routing failure answers
-//! `Error`, never a silent fallback to shard 0), and EOF/error/Bye all
-//! funnel through one close path that enqueues the session's final `Bye`
-//! exactly once.
+//! Every shard belongs to one event-loop thread: loop `i` of `loops` owns
+//! the shards `s` with `s % loops == i`. Thread 0 owns the nonblocking
+//! listener and numbers each connection as it accepts it. The number is
+//! the session id and fixes the shard (`id % shards`), and the connection
+//! goes to the loop that owns that shard, through the owner's
+//! eventfd-woken mailbox when that is not thread 0 itself. Each thread
+//! runs level-triggered `epoll_wait` over its own connections: reads are
+//! nonblocking with per-connection frame reassembly buffers, a Hello binds
+//! a session to its connection, and EOF/error/Bye all funnel through one
+//! close path that deregisters the connection and enqueues the session's
+//! final `Bye` exactly once.
 //!
-//! The thread that read a request also decides it. After handling a
-//! whole `epoll_wait` batch, a thread drives every shard it enqueued to
-//! ([`Shard::drive`]) with its own visit buffers and batch scratch, so the
-//! sessions of one batch share a visit and no request changes threads on
-//! its way to the model. The cost is that a visit holds its event loop:
-//! model work, and a bounded send stall on a client that stops reading
-//! (at most ~5 s, see [`Conn::send`]), delay the next `epoll_wait`.
+//! So one thread reads a session's frames, decides them and writes every
+//! reply through the connection's only stream. After handling a whole
+//! `epoll_wait` batch, a thread drives its shards (`Shards::drive`) with
+//! its own visit buffers and batch scratch, so the sessions of one batch
+//! share a visit and no request changes threads on its way to the model.
+//! The cost is that a visit holds its event loop: model work, and a
+//! bounded send stall on a client that stops reading (at most ~5 s, see
+//! `shard::send`), delay the next `epoll_wait`.
 //!
 //! No libc crate exists in the vendored workspace, so the handful of
 //! syscalls are declared directly, in the style of
@@ -38,12 +42,12 @@
 use crate::batcher::{AccessReq, SessionCmd};
 use crate::protocol::{Reply, Request, MAX_FRAME};
 use crate::session::{load_checkpoint_file, ModelBuilder};
-use crate::shard::{Conn, Driver, Enqueue, SessionKey, Shard, VisitCfg};
+use crate::shard::{send, Conn, Driver, Enqueue, SessionKey, Shards, VisitCfg};
 use crate::telemetry::Telemetry;
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -213,20 +217,20 @@ const FAIR_READ_BYTES: usize = 64 * 1024;
 
 /// Shared state every event-loop thread works against.
 pub(crate) struct IoCtx {
-    pub(crate) shards: Vec<Arc<Shard>>,
+    /// Shard count: connection `id` belongs to shard `id % n_shards`.
+    pub(crate) n_shards: usize,
     pub(crate) visit: VisitCfg,
     pub(crate) builder: ModelBuilder,
     pub(crate) telemetry: Arc<Telemetry>,
     pub(crate) queue_cap: usize,
-    pub(crate) next_session: AtomicU64,
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
-/// An event-loop thread's inbox: accepted streams parked by the
-/// accepting thread, plus the eventfd that wakes the owner to collect
-/// them (and to notice shutdown).
+/// An event-loop thread's inbox: accepted connections, with their
+/// numbers, parked by the accepting thread, plus the eventfd that wakes
+/// the owner to collect them (and to notice shutdown).
 pub(crate) struct IoMailbox {
-    inbox: Mutex<Vec<TcpStream>>,
+    inbox: Mutex<Vec<(u64, TcpStream)>>,
     wake: sys::EventFd,
 }
 
@@ -238,13 +242,13 @@ impl IoMailbox {
         })
     }
 
-    /// Park an accepted stream for the owning thread and wake it.
-    fn deliver(&self, stream: TcpStream) {
+    /// Park connection `id` for the owning thread and wake it.
+    fn deliver(&self, id: u64, stream: TcpStream) {
         // The critical section only pushes onto a Vec; no I/O or model
         // work ever runs under this lock.
         // lint:allow(blocking-in-event-loop): bounded mailbox handoff
         let mut g = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
-        g.push(stream);
+        g.push((id, stream));
         drop(g);
         self.wake.signal();
     }
@@ -254,7 +258,7 @@ impl IoMailbox {
         self.wake.signal();
     }
 
-    fn collect(&self, into: &mut Vec<TcpStream>) {
+    fn collect(&self, into: &mut Vec<(u64, TcpStream)>) {
         self.wake.drain();
         // lint:allow(blocking-in-event-loop): bounded mailbox handoff — the critical section only appends one Vec into another
         let mut g = self.inbox.lock().unwrap_or_else(PoisonError::into_inner);
@@ -268,7 +272,7 @@ impl IoMailbox {
 /// [`crate::protocol::read_frame`]'s validation exactly. `buf` is zeroed
 /// only when it grows, and compaction moves the unparsed bytes to the
 /// front, so a read costs no memset.
-struct FrameBuf {
+pub(crate) struct FrameBuf {
     buf: Vec<u8>,
     start: usize,
     end: usize,
@@ -278,7 +282,7 @@ impl FrameBuf {
     /// Free space offered to each `read(2)`.
     const READ_CHUNK: usize = 16 * 1024;
 
-    fn new() -> FrameBuf {
+    pub(crate) fn new() -> FrameBuf {
         FrameBuf {
             buf: Vec::new(),
             start: 0,
@@ -344,50 +348,9 @@ impl FrameBuf {
     }
 }
 
-#[derive(Clone, Copy)]
-struct SessionRef {
-    id: u64,
-    shard: usize,
-    slot: usize,
-}
-
-struct ConnSlot {
-    stream: TcpStream,
-    conn: Arc<Conn>,
-    fbuf: FrameBuf,
-    session: Option<SessionRef>,
-    said_bye: bool,
-}
-
-/// One event-loop thread. `listener` is `Some` only on thread 0.
-pub(crate) fn io_loop(
-    idx: usize,
-    listener: Option<TcpListener>,
-    mailboxes: Arc<Vec<IoMailbox>>,
-    ctx: Arc<IoCtx>,
-) {
-    let Ok(ep) = sys::Epoll::new() else {
-        return;
-    };
-    let mut lp = IoLoop {
-        idx,
-        ep,
-        listener,
-        mailboxes,
-        driver: Driver::new(ctx.visit.clone()),
-        touched: vec![false; ctx.shards.len()],
-        ctx,
-        slots: Vec::new(),
-        free: Vec::new(),
-        payload: Vec::new(),
-        reply_buf: Vec::new(),
-        incoming: Vec::new(),
-        rr: idx,
-    };
-    lp.run();
-}
-
-struct IoLoop {
+/// One event-loop thread: its epoll set, the shards it owns and their
+/// connections. `listener` is `Some` only on thread 0.
+pub(crate) struct IoLoop {
     idx: usize,
     ep: sys::Epoll,
     listener: Option<TcpListener>,
@@ -395,35 +358,48 @@ struct IoLoop {
     ctx: Arc<IoCtx>,
     /// This thread's visit buffers and batch scratch.
     driver: Driver,
-    /// Shards this thread enqueued to since it last drove them.
-    touched: Vec<bool>,
-    slots: Vec<Option<ConnSlot>>,
-    free: Vec<usize>,
+    shards: Shards,
     payload: Vec<u8>,
     reply_buf: Vec<u8>,
-    incoming: Vec<TcpStream>,
-    /// Round-robin cursor for distributing accepted streams.
-    rr: usize,
+    incoming: Vec<(u64, TcpStream)>,
+    /// The number the acceptor (thread 0) gives the next connection.
+    next_id: u64,
 }
 
 impl IoLoop {
-    fn run(&mut self) {
-        let Some(me) = self.mailboxes.get(self.idx) else {
-            return;
-        };
-        if self.ep.add(me.wake.fd(), WAKE_TOKEN, sys::EPOLLIN).is_err() {
-            return;
+    /// Loop `idx` of `mailboxes.len()`, with its epoll set ready to wait
+    /// on its mailbox and, on thread 0, the listener.
+    pub(crate) fn new(
+        idx: usize,
+        listener: Option<TcpListener>,
+        mailboxes: Arc<Vec<IoMailbox>>,
+        ctx: Arc<IoCtx>,
+    ) -> io::Result<IoLoop> {
+        let ep = sys::Epoll::new()?;
+        if let Some(me) = mailboxes.get(idx) {
+            ep.add(me.wake.fd(), WAKE_TOKEN, sys::EPOLLIN)?;
         }
-        if let Some(l) = &self.listener {
-            let _ = l.set_nonblocking(true);
-            if self
-                .ep
-                .add(l.as_raw_fd(), LISTEN_TOKEN, sys::EPOLLIN)
-                .is_err()
-            {
-                return;
-            }
+        if let Some(l) = &listener {
+            ep.add(l.as_raw_fd(), LISTEN_TOKEN, sys::EPOLLIN)?;
         }
+        let loops = mailboxes.len().max(1);
+        let owned = ctx.n_shards.saturating_sub(idx).div_ceil(loops);
+        Ok(IoLoop {
+            idx,
+            ep,
+            listener,
+            mailboxes,
+            driver: Driver::new(ctx.visit.clone()),
+            shards: Shards::new(owned),
+            ctx,
+            payload: Vec::new(),
+            reply_buf: Vec::new(),
+            incoming: Vec::new(),
+            next_id: 1,
+        })
+    }
+
+    pub(crate) fn run(mut self) {
         let mut events = vec![sys::EpollEvent::default(); 256];
         while !self.ctx.shutdown.load(Ordering::Acquire) {
             let n = self.ep.wait(&mut events, 100);
@@ -440,46 +416,39 @@ impl IoLoop {
                     tok => self.service_conn(usize::try_from(tok).unwrap_or(usize::MAX)),
                 }
             }
-            self.drive_touched();
+            // After the whole batch, so that sessions read together share
+            // a visit.
+            self.shards.drive(&mut self.driver, &self.ctx.telemetry);
         }
         self.drain_all();
-        self.drive_touched();
+        self.shards.drive(&mut self.driver, &self.ctx.telemetry);
     }
 
-    /// Run visits on every shard this thread enqueued to, after the whole
-    /// batch so that sessions read together share a visit.
-    fn drive_touched(&mut self) {
-        for (shard, touched) in self.ctx.shards.iter().zip(self.touched.iter_mut()) {
-            if std::mem::take(touched) {
-                shard.drive(&mut self.driver, &self.ctx.telemetry);
-            }
-        }
-    }
-
-    /// Shutdown drain: half-close every connection's read side (parity
-    /// with the blocking design, so clients mid-stream see EOF), enqueue
-    /// each live session's final `Bye`, and deregister everything. After
-    /// this, `connections_closed` has caught up with `connections_opened`
-    /// for this thread.
+    /// Shutdown drain: half-close every open connection's read side
+    /// (parity with the blocking design, so clients mid-stream see EOF)
+    /// and close it, which enqueues each live session's final `Bye`; the
+    /// drive that follows answers them and frees every connection.
     fn drain_all(&mut self) {
         // Late mailbox deliveries still own fds; close them too.
         if let Some(me) = self.mailboxes.get(self.idx) {
             me.collect(&mut self.incoming);
         }
         self.incoming.clear();
-        for tok in 0..self.slots.len() {
-            let live = self.slots.get(tok).is_some_and(Option::is_some);
-            if live {
-                if let Some(cs) = self.slots.get(tok).and_then(|s| s.as_ref()) {
-                    let _ = cs.stream.shutdown(Shutdown::Read);
-                }
-                self.close_conn(tok);
+        for tok in 0..self.shards.tokens() {
+            if let Some(conn) = self.shards.conn(tok).filter(|c| !c.closed) {
+                let _ = conn.stream.shutdown(Shutdown::Read);
             }
+            self.close_conn(tok);
         }
     }
 
-    /// Accept until the listener would block, handing streams out
-    /// round-robin across all event-loop threads.
+    /// The shard connection `id` belongs to.
+    fn shard_of(&self, id: u64) -> usize {
+        (id % self.ctx.n_shards.max(1) as u64) as usize
+    }
+
+    /// Accept until the listener would block, numbering each connection
+    /// and handing it to the loop that owns its shard.
     fn accept_burst(&mut self) {
         loop {
             let Some(l) = &self.listener else {
@@ -488,12 +457,13 @@ impl IoLoop {
             match l.accept() {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nodelay(true);
-                    let n = self.mailboxes.len().max(1);
-                    self.rr = (self.rr + 1) % n;
-                    if self.rr == self.idx {
-                        self.register_conn(stream);
-                    } else if let Some(mb) = self.mailboxes.get(self.rr) {
-                        mb.deliver(stream);
+                    let id = self.next_id;
+                    self.next_id += 1;
+                    let owner = self.shard_of(id) % self.mailboxes.len().max(1);
+                    if owner == self.idx {
+                        self.register_conn(id, stream);
+                    } else if let Some(mb) = self.mailboxes.get(owner) {
+                        mb.deliver(id, stream);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -502,94 +472,58 @@ impl IoLoop {
         }
     }
 
-    /// Adopt streams other threads parked in our mailbox.
+    /// Adopt connections the acceptor parked in our mailbox.
     fn collect_mailbox(&mut self) {
         let Some(me) = self.mailboxes.get(self.idx) else {
             return;
         };
         let mut incoming = std::mem::take(&mut self.incoming);
         me.collect(&mut incoming);
-        for stream in incoming.drain(..) {
-            self.register_conn(stream);
+        for (id, stream) in incoming.drain(..) {
+            self.register_conn(id, stream);
         }
         self.incoming = incoming;
     }
 
-    /// Put a connection into the slab and the epoll set. The slab index
-    /// is the epoll token; slots are recycled through the free list on
-    /// close, so the slab stays bounded by peak concurrent connections.
-    fn register_conn(&mut self, stream: TcpStream) {
+    /// Put connection `id` into the slab and the epoll set. The slab index
+    /// is the epoll token.
+    fn register_conn(&mut self, id: u64, stream: TcpStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let Ok(write_half) = stream.try_clone() else {
-            return;
-        };
-        let conn = Conn::new(write_half);
-        let tok = match self.free.pop() {
-            Some(t) => t,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
+        let fd = stream.as_raw_fd();
+        let shard = self.shard_of(id) / self.mailboxes.len().max(1);
+        let tok = self.shards.insert(Conn::new(stream, id, shard));
         if self
             .ep
-            .add(
-                stream.as_raw_fd(),
-                tok as u64,
-                sys::EPOLLIN | sys::EPOLLRDHUP,
-            )
+            .add(fd, tok as u64, sys::EPOLLIN | sys::EPOLLRDHUP)
             .is_err()
         {
-            self.free.push(tok);
+            self.shards.remove(tok);
             return;
         }
-        if let Some(slot) = self.slots.get_mut(tok) {
-            *slot = Some(ConnSlot {
-                stream,
-                conn,
-                fbuf: FrameBuf::new(),
-                session: None,
-                said_bye: false,
-            });
-            self.ctx.telemetry.conn_opened();
-        }
+        self.ctx.telemetry.conn_opened();
     }
 
-    /// Deregister and drop a connection, enqueueing the session's final
-    /// `Bye` if it never said one (EOF, error, drain) — the single close
-    /// path that makes session retirement unconditional.
+    /// The single close path (EOF, error, `Bye`, drain): deregister the
+    /// connection and enqueue its session's final `Bye`, which always
+    /// lands, so session retirement is unconditional. The visit that
+    /// answers the `Bye` frees the connection; one that closes before
+    /// Hello is freed here.
     fn close_conn(&mut self, tok: usize) {
-        let Some(cs) = self.slots.get_mut(tok).and_then(Option::take) else {
+        let Some(conn) = self.shards.conn_mut(tok).filter(|c| !c.closed) else {
             return;
         };
-        self.ep.del(cs.stream.as_raw_fd());
-        if !cs.said_bye {
-            if let Some(sref) = cs.session {
-                // Bye bypasses the queue cap by contract — it always lands.
-                let _ = self.enqueue(sref, SessionCmd::Bye);
-            }
+        self.ep.del(conn.stream.as_raw_fd());
+        conn.closed = true;
+        if self
+            .shards
+            .enqueue(tok, SessionCmd::Bye, self.ctx.queue_cap)
+            .is_none()
+        {
+            self.shards.remove(tok);
+            self.ctx.telemetry.conn_closed();
         }
-        self.free.push(tok);
-        self.ctx.telemetry.conn_closed();
-        // `cs.stream` (read half) drops here; `cs.conn` lives on in the
-        // shard slot until the session's Goodbye is flushed.
-    }
-
-    /// Enqueue onto the session's shard, marking the shard for driving
-    /// after this batch when the command landed.
-    fn enqueue(&mut self, sref: SessionRef, cmd: SessionCmd) -> Enqueue {
-        let Some(shard) = self.ctx.shards.get(sref.shard) else {
-            return Enqueue::SessionGone;
-        };
-        let verdict = shard.enqueue(sref.slot, sref.id, cmd, self.ctx.queue_cap);
-        if verdict == Enqueue::Accepted {
-            if let Some(t) = self.touched.get_mut(sref.shard) {
-                *t = true;
-            }
-        }
-        verdict
     }
 
     /// Readable: pull bytes, peel frames, dispatch. Stops after a read
@@ -599,21 +533,17 @@ impl IoLoop {
     fn service_conn(&mut self, tok: usize) {
         let mut consumed = 0usize;
         loop {
-            let Some(cs) = self.slots.get_mut(tok).and_then(|s| s.as_mut()) else {
+            let Some(conn) = self.shards.conn_mut(tok).filter(|c| !c.closed) else {
                 return;
             };
-            match cs.fbuf.fill_from(&mut cs.stream) {
+            match conn.fbuf.fill_from(&mut conn.stream) {
                 Ok((0, _)) => {
                     // EOF: honor any already-buffered complete frames,
                     // then flag a truncated trailer and close.
                     if !self.dispatch_frames(tok) {
                         return;
                     }
-                    let mid_frame = self
-                        .slots
-                        .get(tok)
-                        .and_then(|s| s.as_ref())
-                        .is_some_and(|cs| !cs.fbuf.at_boundary());
+                    let mid_frame = self.shards.conn(tok).is_some_and(|c| !c.fbuf.at_boundary());
                     if mid_frame {
                         self.ctx.telemetry.protocol_error();
                     }
@@ -645,10 +575,10 @@ impl IoLoop {
     fn dispatch_frames(&mut self, tok: usize) -> bool {
         loop {
             let frame = {
-                let Some(cs) = self.slots.get_mut(tok).and_then(|s| s.as_mut()) else {
+                let Some(conn) = self.shards.conn_mut(tok).filter(|c| !c.closed) else {
                     return false;
                 };
-                cs.fbuf.next_frame(&mut self.payload)
+                conn.fbuf.next_frame(&mut self.payload)
             };
             match frame {
                 Ok(Some(ty)) => {
@@ -669,11 +599,8 @@ impl IoLoop {
     /// One decoded frame. Returns `false` once the connection was closed.
     fn handle_frame(&mut self, tok: usize, ty: u8) -> bool {
         let req = Request::decode(ty, &self.payload);
-        let has_session = self
-            .slots
-            .get(tok)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|cs| cs.session.is_some());
+        let has_session = self.shards.conn(tok).is_some_and(Conn::has_session);
+        let cap = self.ctx.queue_cap;
         match (req, has_session) {
             (Ok(Request::Hello { model, seed, fast }), false) => {
                 self.handle_hello(tok, model, seed, fast)
@@ -697,40 +624,22 @@ impl IoLoop {
                     enqueued,
                     deadline,
                 });
-                match self.enqueue_for(tok, cmd) {
-                    Enqueue::Busy => {
-                        self.ctx.telemetry.busy();
-                        self.send_reply(tok, &Reply::Busy { req_id });
-                        true
-                    }
-                    Enqueue::SessionGone => {
-                        self.close_conn(tok);
-                        false
-                    }
-                    _ => true,
+                if self.shards.enqueue(tok, cmd, cap) == Some(Enqueue::Busy) {
+                    self.ctx.telemetry.busy();
+                    self.send_reply(tok, &Reply::Busy { req_id });
                 }
+                true
             }
             (Ok(Request::Event { kind, addr }), true) => {
-                match self.enqueue_for(tok, SessionCmd::Event { kind, addr }) {
-                    Enqueue::Dropped => {
-                        self.ctx.telemetry.event_dropped();
-                        true
-                    }
-                    Enqueue::SessionGone => {
-                        self.close_conn(tok);
-                        false
-                    }
-                    _ => true,
+                let cmd = SessionCmd::Event { kind, addr };
+                if self.shards.enqueue(tok, cmd, cap) == Some(Enqueue::Dropped) {
+                    self.ctx.telemetry.event_dropped();
                 }
+                true
             }
             (Ok(Request::Bye), true) => {
-                // The session's visit flushes the queue and answers
-                // Goodbye; mark the Bye as sent so the close path doesn't
-                // enqueue a second one.
-                let _ = self.enqueue_for(tok, SessionCmd::Bye);
-                if let Some(cs) = self.slots.get_mut(tok).and_then(|s| s.as_mut()) {
-                    cs.said_bye = true;
-                }
+                // Closing queues the Bye; the session's visit flushes the
+                // queue and answers Goodbye.
                 self.close_conn(tok);
                 false
             }
@@ -751,9 +660,9 @@ impl IoLoop {
     }
 
     /// Hello handshake: build the model (warm-starting from a checkpoint
-    /// when one exists), route to shard `id % shards`, register, answer
-    /// Accepted. Every failure path answers `Error` — never a silent
-    /// close, and never a fallback to shard 0.
+    /// when one exists), bind the session to the connection, answer
+    /// Accepted with the connection's number. A model that fails to build
+    /// answers `Error`, never a silent close.
     fn handle_hello(&mut self, tok: usize, model: String, seed: u64, fast: bool) -> bool {
         let built = (self.ctx.builder)(&model, seed, fast);
         let mut m = match built {
@@ -770,56 +679,23 @@ impl IoLoop {
                 self.ctx.telemetry.checkpoint_loaded();
             }
         }
-        let id = self.ctx.next_session.fetch_add(1, Ordering::Relaxed);
-        let n_shards = self.ctx.shards.len();
-        // Infallible routing: `id % n < n`, so the index is always in
-        // range; `get` only misses when there are zero shards at all.
-        let shard_idx = (id % n_shards.max(1) as u64) as usize;
-        let Some(shard) = self.ctx.shards.get(shard_idx) else {
-            self.ctx.telemetry.protocol_error();
-            self.send_reply(
-                tok,
-                &Reply::Error {
-                    message: "no shards available".to_string(),
-                },
-            );
-            self.close_conn(tok);
+        let Some(conn) = self.shards.conn_mut(tok) else {
             return false;
         };
-        let key = SessionKey { model, seed, fast };
-        let Some(cs) = self.slots.get_mut(tok).and_then(|s| s.as_mut()) else {
-            return false;
-        };
-        let slot = shard.register(id, m, Arc::clone(&cs.conn), key);
-        cs.session = Some(SessionRef {
-            id,
-            shard: shard_idx,
-            slot,
-        });
+        conn.open_session(m, SessionKey { model, seed, fast });
+        let session_id = conn.id;
         self.ctx.telemetry.session_opened();
-        self.send_reply(tok, &Reply::Accepted { session_id: id });
+        self.send_reply(tok, &Reply::Accepted { session_id });
         true
     }
 
-    fn enqueue_for(&mut self, tok: usize, cmd: SessionCmd) -> Enqueue {
-        let Some(sref) = self
-            .slots
-            .get(tok)
-            .and_then(|s| s.as_ref())
-            .and_then(|cs| cs.session)
-        else {
-            return Enqueue::SessionGone;
-        };
-        self.enqueue(sref, cmd)
-    }
-
     fn send_reply(&mut self, tok: usize, reply: &Reply) {
-        let Some(cs) = self.slots.get(tok).and_then(|s| s.as_ref()) else {
+        let Some(conn) = self.shards.conn(tok) else {
             return;
         };
         self.reply_buf.clear();
         reply.encode_into(&mut self.reply_buf);
-        let _ = cs.conn.send(&self.reply_buf);
+        let _ = send(&conn.stream, &self.reply_buf);
     }
 }
 
@@ -972,7 +848,7 @@ mod tests {
     fn mailbox_delivery_signals_and_collects() {
         let mb = IoMailbox::new().expect("mailbox");
         let (client, server) = loopback_pair();
-        mb.deliver(server);
+        mb.deliver(7, server);
         let ep = sys::Epoll::new().expect("epoll");
         ep.add(mb.wake.fd(), WAKE_TOKEN, sys::EPOLLIN).expect("add");
         let mut events = vec![sys::EpollEvent::default(); 4];
@@ -980,6 +856,7 @@ mod tests {
         let mut streams = Vec::new();
         mb.collect(&mut streams);
         assert_eq!(streams.len(), 1);
+        assert_eq!(streams.first().map(|(id, _)| *id), Some(7));
         drop(client);
     }
 }

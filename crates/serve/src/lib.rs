@@ -5,16 +5,17 @@
 //! Clients stream memory accesses over a length-prefixed binary protocol
 //! on plain TCP ([`protocol`]); a small pool of epoll event-loop threads
 //! parses frames from nonblocking sockets (no thread per connection, and
-//! per-connection state is freed the moment the socket closes); each
+//! per-connection state is freed as soon as its session retires); each
 //! connection is one session with its own ensemble/prefetcher state
-//! ([`session`]), partitioned across shards ([`shard`]). After each
-//! `epoll_wait` batch, the thread that read the requests microbatches
-//! whatever a session has queued — up to `max_batch` — into
-//! `Mlp::forward_batch` decision windows ([`batcher`],
-//! `ResembleMlp::on_access_window`). A frozen session's drained plan is
-//! one window, its cache events included, and the frozen
+//! ([`session`]), partitioned across shards that each belong to one
+//! event loop (`shard`). After each `epoll_wait` batch, the thread that
+//! owns a shard, and so read its requests, microbatches whatever a
+//! session has queued — up to `max_batch` — into `Mlp::forward_batch`
+//! decision windows (`batcher`, `ResembleMlp::on_access_window`), and
+//! writes the replies itself. A frozen session's drained plan is one
+//! window, its cache events included, and the frozen
 //! same-`(model, seed, fast)` sessions ready on a shard share one forward
-//! per visit through the heading session's net ([`shard`]). That keeps
+//! per visit through the heading session's net (`shard`). That keeps
 //! the GEMM kernels on the serving hot path while staying
 //! **bit-identical** to an offline sequential run of the same stream, no
 //! matter how sessions interleave. Session models can checkpoint to disk
@@ -41,13 +42,13 @@
 
 #![warn(missing_docs)]
 
-pub mod batcher;
+mod batcher;
 pub mod client;
 mod event_loop;
 pub mod protocol;
 pub mod server;
 pub mod session;
-pub mod shard;
+mod shard;
 pub mod telemetry;
 
 pub use client::ServeClient;

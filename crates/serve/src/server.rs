@@ -1,17 +1,20 @@
 //! The server: epoll event-loop threads, periodic telemetry snapshots,
 //! and graceful drain.
 //!
-//! Thread model (DESIGN.md §8): a small fixed pool of event-loop threads
-//! (`io_threads`) each runs a nonblocking epoll loop (`event_loop.rs`);
-//! thread 0 owns the listener and hands accepted connections round-robin
-//! to its peers through eventfd-backed mailboxes. Connection state (frame
-//! reassembly buffer, session binding) lives in a per-thread slab keyed
-//! by the epoll token, and is removed the moment the connection closes —
-//! there is no per-connection thread and no grow-only registry to leak.
-//! There are no worker threads either: after each `epoll_wait` batch, a
-//! loop runs the batched decision windows of every shard it enqueued to,
-//! pooling same-key frozen sessions through a single shared forward. The
-//! only other thread is the snapshotter, when one is configured.
+//! Thread model (DESIGN.md §8): a small fixed pool of event-loop threads,
+//! `min(io_threads, shards)` of them, each runs a nonblocking epoll loop
+//! (`event_loop.rs`) and owns the shards `s` with `s % loops == i`.
+//! Thread 0 owns the listener, numbers each accepted connection (the
+//! number is its session id and fixes its shard, `id % shards`) and hands
+//! it to the thread that owns that shard through an eventfd-backed
+//! mailbox. Connection state (its one stream, frame reassembly buffer and
+//! session) lives in the owning thread's slab keyed by the epoll token,
+//! and is freed as soon as the session retires — there is no
+//! per-connection thread and no grow-only registry to leak. There are no
+//! worker threads either: after each `epoll_wait` batch, a loop runs the
+//! batched decision windows of its shards, pooling same-key frozen
+//! sessions through a single shared forward. The only other thread is the
+//! snapshotter, when one is configured.
 //!
 //! Shutdown is a drain, not an abort: wake every event-loop thread, which
 //! stops accepting, half-closes every connection (`shutdown(SHUT_RD)`),
@@ -19,14 +22,14 @@
 //! queues are empty — every in-flight request gets a `Decision` or
 //! `TimedOut` reply before the process exits with a final snapshot.
 
-use crate::event_loop::{io_loop, IoCtx, IoMailbox};
+use crate::event_loop::{IoCtx, IoLoop, IoMailbox};
 use crate::session::ModelBuilder;
-use crate::shard::{Shard, VisitCfg};
+use crate::shard::VisitCfg;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -36,7 +39,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address; use port 0 for an ephemeral port (tests/bench).
     pub addr: String,
-    /// Shard count: sessions are partitioned `id % shards`, and a pooled
+    /// Shard count: connection `id` (its session id) belongs to shard
+    /// `id % shards`, each shard is owned by one event loop, and a pooled
     /// window draws only on one shard's sessions.
     pub shards: usize,
     /// Maximum decision requests drained per session visit — the upper
@@ -49,8 +53,11 @@ pub struct ServeConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Interval between periodic snapshots.
     pub snapshot_every: Duration,
-    /// Epoll event-loop thread count (thread 0 additionally owns the
-    /// listener); these threads also run every decision window.
+    /// Epoll event-loop thread count, capped at `shards`: loop `i` of
+    /// `min(io_threads, shards)` owns the shards `s` with
+    /// `s % loops == i`, and a server asked for more loops than shards
+    /// runs one per shard. Thread 0 additionally owns the listener; these
+    /// threads also run every decision window.
     pub io_threads: usize,
     /// Batch decision windows across same-key frozen sessions into one
     /// shared forward per visit (up to 4096 rows, or `max_batch` when
@@ -110,16 +117,15 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let snap_stop = Arc::new(AtomicBool::new(false));
         let n_shards = cfg.shards.max(1);
-        let shards: Vec<Arc<Shard>> = (0..n_shards).map(|_| Shard::new()).collect();
-
-        let n_io = cfg.io_threads.max(1);
+        // A loop that owned no shard would never get a connection.
+        let loops = cfg.io_threads.clamp(1, n_shards);
         let mailboxes: Arc<Vec<IoMailbox>> = Arc::new(
-            (0..n_io)
+            (0..loops)
                 .map(|_| IoMailbox::new())
                 .collect::<std::io::Result<Vec<_>>>()?,
         );
         let ctx = Arc::new(IoCtx {
-            shards,
+            n_shards,
             visit: VisitCfg {
                 max_batch: cfg.max_batch.max(1),
                 cross_session: cfg.cross_session,
@@ -129,17 +135,18 @@ impl Server {
             builder,
             telemetry: Arc::clone(&telemetry),
             queue_cap: cfg.queue_cap.max(1),
-            next_session: AtomicU64::new(1),
             shutdown: Arc::clone(&shutdown),
         });
         let mut listener = Some(listener);
-        let io_threads = (0..n_io)
+        let event_loops = (0..loops)
             .map(|i| {
                 let l = if i == 0 { listener.take() } else { None };
-                let mailboxes = Arc::clone(&mailboxes);
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || io_loop(i, l, mailboxes, ctx))
+                IoLoop::new(i, l, Arc::clone(&mailboxes), Arc::clone(&ctx))
             })
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let io_threads = event_loops
+            .into_iter()
+            .map(|lp| std::thread::spawn(move || lp.run()))
             .collect();
 
         let snapshotter = cfg.snapshot_path.clone().map(|path| {

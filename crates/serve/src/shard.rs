@@ -1,50 +1,48 @@
-//! Sharded sessions: slab-allocated sessions, a readiness queue,
-//! cross-session pooled decision windows, and checkpoint-on-retire.
+//! Sessions, the shards that hold them, cross-session pooled decision
+//! windows, and checkpoint-on-retire.
 //!
-//! Sessions are assigned to a shard by `session_id % n_shards`. A shard
-//! has no thread of its own: after each `epoll_wait` batch, the
-//! event-loop thread that enqueued commands runs visits on the shard
-//! (`Shard::drive`) until its readiness queue is empty. A `driving`
-//! flag under the shard lock lets one thread drive a shard at a time,
-//! which is what serializes all model access for a session (replies go
-//! out in stream order, no model locking). A thread that finds the flag
-//! set returns at once: the driver re-checks the readiness queue under
-//! the lock before it clears the flag, so a command enqueued meanwhile is
-//! never stranded. Each event-loop thread brings its own visit buffers
-//! and batch scratch (`Driver`). Sessions live in a slab
-//! (`Vec<Option<Slot>>` plus a free list) addressed by slot index —
-//! enqueues are O(1) instead of a linear id scan, and retired slots are
-//! recycled immediately. A session is in the readiness queue exactly when
-//! it has commands pending, so a visit never scans idle slots.
+//! Sessions are assigned to a shard by `session_id % n_shards`, and every
+//! shard belongs to exactly one event-loop thread. A loop keeps the
+//! connections routed to its shards in one slab (`Shards`, a
+//! `Vec<Option<Conn>>` plus a free list) addressed by epoll token, and
+//! each connection carries its session from Hello on. A shard is a
+//! readiness queue of the tokens whose sessions have commands pending, so
+//! a visit never scans idle sessions. After each `epoll_wait` batch the
+//! loop drives its shards (`Shards::drive`) until every readiness queue is
+//! empty, with its own visit buffers and batch scratch (`Driver`). Nothing
+//! here is shared with another thread, so nothing is locked: one thread
+//! reads a session's frames, queues its commands, runs its model and
+//! writes every reply, in stream order, through the connection's only
+//! stream.
 //!
 //! A visit drains one ready session, and — when that session is a frozen
 //! MLP and cross-session batching is on — steals every other ready
-//! session with the same [`SessionKey`] in the same pass. Each frozen
-//! session's drained plan is exactly one decision window, its cache
+//! session of its shard with the same `SessionKey` in the same pass. Each
+//! frozen session's drained plan is exactly one decision window, its cache
 //! events included: phase A (`window_prepare`) applies the events to the
 //! session's own bank at their positions and stacks its state rows into
 //! one matrix, then **one** batched forward runs over every row through
 //! the heading session's inference net (under `quantize_frozen`, through
 //! that session's int8 copy, built the first time it heads a window and
-//! kept in its slot), then phase C (`window_commit`) runs per session.
-//! Because frozen same-key sessions have bit-identical never-changing
-//! weights and the batch kernels preserve per-row accumulation order,
-//! pooled decisions are bit-identical to serving each session alone. A
-//! session that is not frozen is visited alone and replays its plan
-//! segment by segment, each event applied between the runs it arrived
-//! between.
+//! kept with its session), then phase C (`window_commit`) runs per
+//! session. Because frozen same-key sessions have bit-identical
+//! never-changing weights and the batch kernels preserve per-row
+//! accumulation order, pooled decisions are bit-identical to serving each
+//! session alone. A session that is not frozen is visited alone and
+//! replays its plan segment by segment, each event applied between the
+//! runs it arrived between.
 //!
 //! On a `Bye` the visit flushes the queue, answers `Goodbye`, optionally
 //! checkpoints the model (warm restart for the next same-key Hello), and
-//! frees the slot. Visits run on the epoll thread, so this file is in the
-//! `blocking-in-event-loop` scope: the shard lock only moves queue
-//! entries, and [`Conn::send`]'s stall on a client that stops reading is
-//! bounded (~5 s, then `TimedOut`) but holds the event loop while it
-//! lasts. It is also on the decision hot path (`panic-in-hot-path`
-//! scope): no panics, no literal indexing; poisoned locks are re-entered
-//! because a panicked peer thread must not take the server down.
+//! frees the connection: its slot, its token and its fd. Visits run on
+//! the epoll thread, so this file is in the `blocking-in-event-loop`
+//! scope: its one blocking call is `send`'s stall on a client that stops
+//! reading, bounded (~5 s, then `TimedOut`) but holding the event loop
+//! while it lasts. It is also on the decision hot path
+//! (`panic-in-hot-path` scope): no panics, no literal indexing.
 
 use crate::batcher::{drain_session, DrainPlan, SessionCmd};
+use crate::event_loop::FrameBuf;
 use crate::protocol::{encode_decision_into, EventKind, Reply};
 use crate::session::{cache_event, save_checkpoint_file, SessionModel};
 use crate::telemetry::Telemetry;
@@ -55,7 +53,6 @@ use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Consecutive `WouldBlock` stalls (at ~200µs each) tolerated on one
@@ -78,80 +75,54 @@ pub struct SessionKey {
     pub fast: bool,
 }
 
-/// The write half of a client connection, shared between the event-loop
-/// thread that owns the connection (Accepted/Busy/Error replies) and
-/// whichever event-loop thread drives its shard (Decision/TimedOut/
-/// Goodbye replies). Each `send` is one logical write of a batch of
-/// pre-encoded frames, so reply syscalls amortize across a whole visit.
-/// The underlying fd is a dup of the event loop's nonblocking socket, so
-/// short writes and `WouldBlock` are retried here.
-pub struct Conn {
-    stream: Mutex<TcpStream>,
-}
-
-impl Conn {
-    /// Wrap a connected stream.
-    pub fn new(stream: TcpStream) -> Arc<Conn> {
-        Arc::new(Conn {
-            stream: Mutex::new(stream),
-        })
-    }
-
-    /// Write a batch of pre-encoded frames atomically with respect to
-    /// other senders on this connection. Blocks (bounded) on a client
-    /// that has stopped reading, and with it the calling event loop; a
-    /// client gone longer than ~5 s of backpressure gets `TimedOut` and
-    /// its session drains without it.
-    pub fn send(&self, bytes: &[u8]) -> io::Result<()> {
-        if bytes.is_empty() {
-            return Ok(());
-        }
-        // lint:allow(blocking-in-event-loop): held for one send, whose stall is bounded at ~5 s (then TimedOut)
-        let mut g = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut sent = 0usize;
-        let mut stalls = 0u32;
-        while sent < bytes.len() {
-            match g.write(bytes.get(sent..).unwrap_or(&[])) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "connection write returned 0",
-                    ))
-                }
-                Ok(n) => {
-                    sent += n;
-                    stalls = 0;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    stalls += 1;
-                    if stalls > MAX_SEND_STALLS {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "client not reading replies",
-                        ));
-                    }
-                    // lint:allow(blocking-in-event-loop): at most MAX_SEND_STALLS sleeps (~5 s), then TimedOut
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+/// Write a batch of pre-encoded frames to a connection's nonblocking
+/// stream: one logical write per reply or per session visit, so reply
+/// syscalls amortize across a whole visit. Short writes and `WouldBlock`
+/// are retried. Blocks (bounded) on a client that has stopped reading,
+/// and with it the calling event loop; a client gone longer than ~5 s of
+/// backpressure gets `TimedOut` and its session drains without it.
+pub(crate) fn send(mut stream: &TcpStream, bytes: &[u8]) -> io::Result<()> {
+    let mut sent = 0usize;
+    let mut stalls = 0u32;
+    while sent < bytes.len() {
+        match stream.write(bytes.get(sent..).unwrap_or(&[])) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WriteZero,
+                    "connection write returned 0",
+                ))
             }
+            Ok(n) => {
+                sent += n;
+                stalls = 0;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                stalls += 1;
+                if stalls > MAX_SEND_STALLS {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "client not reading replies",
+                    ));
+                }
+                // lint:allow(blocking-in-event-loop): at most MAX_SEND_STALLS sleeps (~5 s), then TimedOut
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Outcome of enqueueing a command onto a session's bounded queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Enqueue {
-    /// Queued; the enqueuing thread drives the shard after its batch.
+pub(crate) enum Enqueue {
+    /// Queued; the owning event loop drives the shard after its batch.
     Accepted,
     /// Queue full: the request must be answered with `Busy`.
     Busy,
     /// Queue full: the event was dropped (events carry no reply).
     Dropped,
-    /// No such session (already said goodbye, or the slot was recycled).
-    SessionGone,
 }
 
 /// Visit tuning, shared by every event-loop thread of a server.
@@ -181,15 +152,12 @@ impl Default for VisitCfg {
     }
 }
 
-struct Slot {
-    id: u64,
+/// A session between visits.
+struct Session {
     /// `None` while a visit has the model checked out.
     model: Option<SessionModel>,
     queue: VecDeque<SessionCmd>,
-    conn: Arc<Conn>,
     decisions: u64,
-    /// `true` while this slot index sits in the readiness queue.
-    in_ready: bool,
     /// A frozen MLP session (`SessionModel::pool_eligible`).
     frozen: bool,
     /// The int8 copy of a frozen session's inference net under
@@ -198,26 +166,74 @@ struct Slot {
     key: SessionKey,
 }
 
-struct Inner {
-    slots: Vec<Option<Slot>>,
+/// A client connection, owned by one event loop from accept until its
+/// session retires: the connection's only stream, which the loop reads
+/// and every reply is written to, its frame-reassembly buffer, and after
+/// Hello its session.
+pub(crate) struct Conn {
+    /// The connection's socket (nonblocking once registered).
+    pub(crate) stream: TcpStream,
+    /// Bytes read but not yet parsed into frames.
+    pub(crate) fbuf: FrameBuf,
+    /// The connection's number, which is its session id.
+    pub(crate) id: u64,
+    /// Index of its shard among the owning loop's shards.
+    shard: usize,
+    session: Option<Session>,
+    /// Deregistered from epoll (EOF, a read error, `Bye` or the drain),
+    /// with its session's final `Bye` queued.
+    pub(crate) closed: bool,
+}
+
+impl Conn {
+    /// A connection numbered `id` on the loop's shard `shard`.
+    pub(crate) fn new(stream: TcpStream, id: u64, shard: usize) -> Conn {
+        Conn {
+            stream,
+            fbuf: FrameBuf::new(),
+            id,
+            shard,
+            session: None,
+            closed: false,
+        }
+    }
+
+    /// Bind the session a Hello built.
+    pub(crate) fn open_session(&mut self, model: SessionModel, key: SessionKey) {
+        self.session = Some(Session {
+            frozen: model.pool_eligible(),
+            model: Some(model),
+            queue: VecDeque::new(),
+            decisions: 0,
+            qnet: None,
+            key,
+        });
+    }
+
+    /// `true` once a Hello bound a session.
+    pub(crate) fn has_session(&self) -> bool {
+        self.session.is_some()
+    }
+}
+
+/// The shards one event loop owns: every connection routed to them, in a
+/// slab addressed by epoll token and recycled through a free list (so it
+/// stays bounded by peak concurrent connections), and one readiness queue
+/// per shard.
+pub(crate) struct Shards {
+    conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Slot indices with pending commands, in arrival order. Invariant:
-    /// at visit-pick time, every slot with a non-empty queue is here.
-    ready: VecDeque<usize>,
-    /// `true` while a thread is driving this shard.
-    driving: bool,
+    /// Per shard, the tokens with pending commands, in arrival order.
+    /// Outside a visit, a token is queued here exactly when its session's
+    /// queue is non-empty: only the owning loop enqueues, and never during
+    /// a visit.
+    ready: Vec<VecDeque<usize>>,
 }
 
-/// One shard: its session slab and the readiness queue.
-pub struct Shard {
-    inner: Mutex<Inner>,
-}
-
-/// A session checked out of its slot for one visit.
+/// A session checked out of its connection for one visit.
 struct VisitEntry {
-    slot: usize,
+    tok: usize,
     id: u64,
-    conn: Arc<Conn>,
     model: SessionModel,
     qnet: Option<QuantizedMlp>,
     prior: u64,
@@ -232,259 +248,193 @@ struct VisitEntry {
     ckpt_key: Option<SessionKey>,
 }
 
-/// Take a slot's model and drain its queue into a fresh plan, producing
-/// the visit entry. `None` if the slot is gone or already checked out.
+/// Take the session's model on `tok` and drain its queue into a fresh
+/// plan, producing the visit entry. `None` if `tok` carries no session.
 fn checkout(
-    g: &mut Inner,
-    idx: usize,
+    conns: &mut [Option<Conn>],
+    tok: usize,
     now: Instant,
     cfg: &VisitCfg,
     spare: &mut Vec<DrainPlan>,
 ) -> Option<VisitEntry> {
-    let slot = g.slots.get_mut(idx).and_then(|s| s.as_mut())?;
-    let model = slot.model.take()?;
+    let conn = conns.get_mut(tok).and_then(Option::as_mut)?;
+    let s = conn.session.as_mut()?;
+    let model = s.model.take()?;
     let mut plan = spare.pop().unwrap_or_default();
-    drain_session(&mut slot.queue, cfg.max_batch.max(1), now, &mut plan);
-    let ckpt_key = (plan.saw_bye && cfg.checkpoint_dir.is_some()).then(|| slot.key.clone());
+    drain_session(&mut s.queue, cfg.max_batch.max(1), now, &mut plan);
+    let ckpt_key = (plan.saw_bye && cfg.checkpoint_dir.is_some()).then(|| s.key.clone());
     Some(VisitEntry {
-        slot: idx,
-        id: slot.id,
-        conn: Arc::clone(&slot.conn),
+        tok,
+        id: conn.id,
         model,
-        qnet: slot.qnet.take(),
-        prior: slot.decisions,
+        qnet: s.qnet.take(),
+        prior: s.decisions,
         plan,
-        frozen: slot.frozen,
+        frozen: s.frozen,
         row0: 0,
         served: 0,
         ckpt_key,
     })
 }
 
-impl Shard {
-    /// An empty shard.
-    pub fn new() -> Arc<Shard> {
-        Arc::new(Shard {
-            inner: Mutex::new(Inner {
-                slots: Vec::new(),
-                free: Vec::new(),
-                ready: VecDeque::new(),
-                driving: false,
-            }),
-        })
+impl Shards {
+    /// `count` empty shards.
+    pub(crate) fn new(count: usize) -> Shards {
+        Shards {
+            conns: Vec::new(),
+            free: Vec::new(),
+            ready: (0..count.max(1)).map(|_| VecDeque::new()).collect(),
+        }
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        // lint:allow(blocking-in-event-loop): every critical section only moves queue entries and slots, never models or I/O
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Add a session to this shard, returning its slot index — the handle
-    /// all subsequent [`Shard::enqueue`] calls use (together with `id`,
-    /// which guards against a recycled slot).
-    pub fn register(
-        &self,
-        id: u64,
-        model: SessionModel,
-        conn: Arc<Conn>,
-        key: SessionKey,
-    ) -> usize {
-        let frozen = model.pool_eligible();
-        let slot = Slot {
-            id,
-            model: Some(model),
-            queue: VecDeque::new(),
-            conn,
-            decisions: 0,
-            in_ready: false,
-            frozen,
-            qnet: None,
-            key,
-        };
-        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
-        let mut g = self.lock();
-        match g.free.pop() {
-            Some(i) => {
-                if let Some(s) = g.slots.get_mut(i) {
-                    *s = Some(slot);
+    /// Add a connection, returning its token.
+    pub(crate) fn insert(&mut self, conn: Conn) -> usize {
+        match self.free.pop() {
+            Some(tok) => {
+                if let Some(slot) = self.conns.get_mut(tok) {
+                    *slot = Some(conn);
                 }
-                i
+                tok
             }
             None => {
-                g.slots.push(Some(slot));
-                g.slots.len() - 1
+                self.conns.push(Some(conn));
+                self.conns.len() - 1
             }
         }
     }
 
-    /// Enqueue a command for a session, enforcing the bounded queue: at
-    /// `cap` queued commands, accesses bounce with [`Enqueue::Busy`] and
-    /// events are dropped. `Bye` always lands even on a full queue — a
-    /// bounced Bye would leak the slot (and its model) forever.
-    pub fn enqueue(&self, slot: usize, id: u64, cmd: SessionCmd, cap: usize) -> Enqueue {
-        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
-        let mut g = self.lock();
-        let Some(s) = g.slots.get_mut(slot).and_then(|s| s.as_mut()) else {
-            return Enqueue::SessionGone;
-        };
-        if s.id != id {
-            return Enqueue::SessionGone;
-        }
+    /// Take a connection out, recycling its token; dropping it closes its
+    /// fd.
+    pub(crate) fn remove(&mut self, tok: usize) -> Option<Conn> {
+        let conn = self.conns.get_mut(tok).and_then(Option::take)?;
+        self.free.push(tok);
+        Some(conn)
+    }
+
+    /// The connection on `tok`.
+    pub(crate) fn conn(&self, tok: usize) -> Option<&Conn> {
+        self.conns.get(tok).and_then(Option::as_ref)
+    }
+
+    /// The connection on `tok`, mutably.
+    pub(crate) fn conn_mut(&mut self, tok: usize) -> Option<&mut Conn> {
+        self.conns.get_mut(tok).and_then(Option::as_mut)
+    }
+
+    /// One past the highest token in use.
+    pub(crate) fn tokens(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Enqueue a command for the session on `tok`, enforcing the bounded
+    /// queue: at `cap` queued commands, accesses bounce with
+    /// [`Enqueue::Busy`] and events are dropped. `Bye` always lands even
+    /// on a full queue — a bounced Bye would leak the connection (and its
+    /// model) forever. `None` when `tok` carries no session.
+    pub(crate) fn enqueue(&mut self, tok: usize, cmd: SessionCmd, cap: usize) -> Option<Enqueue> {
+        let conn = self.conns.get_mut(tok).and_then(Option::as_mut)?;
+        let s = conn.session.as_mut()?;
         let full = s.queue.len() >= cap.max(1);
-        let mut mark_ready = false;
-        let verdict = match cmd {
+        Some(match cmd {
             SessionCmd::Access(_) if full => Enqueue::Busy,
             SessionCmd::Event { .. } if full => Enqueue::Dropped,
             cmd => {
-                s.queue.push_back(cmd);
-                if !s.in_ready {
-                    s.in_ready = true;
-                    mark_ready = true;
+                if s.queue.is_empty() {
+                    if let Some(ready) = self.ready.get_mut(conn.shard) {
+                        ready.push_back(tok);
+                    }
                 }
+                s.queue.push_back(cmd);
                 Enqueue::Accepted
             }
-        };
-        if mark_ready {
-            g.ready.push_back(slot);
-        }
-        verdict
+        })
     }
 
-    /// Pop the next ready slot that still exists and has pending work.
-    fn pop_ready(g: &mut Inner) -> Option<usize> {
-        loop {
-            let i = g.ready.pop_front()?;
-            let Some(slot) = g.slots.get_mut(i).and_then(|s| s.as_mut()) else {
-                continue; // retired while queued
-            };
-            slot.in_ready = false;
-            if slot.model.is_none() || slot.queue.is_empty() {
-                continue;
-            }
-            return Some(i);
-        }
-    }
-
-    /// Steal every other ready frozen session with `key` into the visit
-    /// (up to [`POOL_ROWS`] pooled rows), preserving the readiness order
-    /// of the sessions left behind.
-    fn gather_pooled(
-        g: &mut Inner,
-        key: &SessionKey,
-        now: Instant,
-        cfg: &VisitCfg,
-        spare: &mut Vec<DrainPlan>,
-        entries: &mut Vec<VisitEntry>,
-        keep: &mut VecDeque<usize>,
-    ) {
-        let cap_rows = POOL_ROWS.max(cfg.max_batch.max(1));
-        let mut rows: usize = entries.iter().map(|e| e.plan.run.len()).sum();
-        keep.clear();
-        while let Some(i) = g.ready.pop_front() {
-            if rows >= cap_rows {
-                keep.push_back(i);
-                continue;
-            }
-            let Some(slot) = g.slots.get_mut(i).and_then(|s| s.as_mut()) else {
-                continue; // retired: falls out of the readiness queue
-            };
-            let steal =
-                slot.frozen && slot.key == *key && slot.model.is_some() && !slot.queue.is_empty();
-            if !steal {
-                keep.push_back(i);
-                continue;
-            }
-            slot.in_ready = false;
-            if let Some(e) = checkout(g, i, now, cfg, spare) {
-                rows += e.plan.run.len();
-                entries.push(e);
-            }
-        }
-        std::mem::swap(&mut g.ready, keep);
-    }
-
-    /// Run visits until the readiness queue is empty. Returns at once
-    /// when another thread is driving this shard: that driver finds the
-    /// caller's commands when it re-checks the queue, under the lock,
-    /// before it clears the `driving` flag.
-    pub(crate) fn drive(&self, d: &mut Driver, telemetry: &Telemetry) {
-        // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
-        let mut g = self.lock();
-        if g.driving {
+    /// Steal every other ready frozen session of `shard` with `key` into
+    /// the visit (up to [`POOL_ROWS`] pooled rows), preserving the
+    /// readiness order of the sessions left behind.
+    fn gather_pooled(&mut self, shard: usize, key: &SessionKey, now: Instant, d: &mut Driver) {
+        let Shards { conns, ready, .. } = self;
+        let Some(ready) = ready.get_mut(shard) else {
             return;
-        }
-        g.driving = true;
-        drop(g);
-        loop {
-            // Pick and check out this visit's sessions under the lock;
-            // all model work and socket I/O happen with it released.
-            let now = Instant::now();
-            // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
-            let mut g = self.lock();
-            let Some(first_idx) = Self::pop_ready(&mut g) else {
-                g.driving = false;
-                return;
-            };
-            let Some(first) = checkout(&mut g, first_idx, now, &d.cfg, &mut d.spare_plans) else {
+        };
+        let cap_rows = POOL_ROWS.max(d.cfg.max_batch.max(1));
+        let mut rows: usize = d.entries.iter().map(|e| e.plan.run.len()).sum();
+        d.keep.clear();
+        while let Some(tok) = ready.pop_front() {
+            let steal = rows < cap_rows
+                && conns
+                    .get(tok)
+                    .and_then(Option::as_ref)
+                    .and_then(|c| c.session.as_ref())
+                    .is_some_and(|s| s.frozen && s.key == *key);
+            if !steal {
+                d.keep.push_back(tok);
                 continue;
-            };
-            d.entries.clear();
-            let pool_key = (d.cfg.cross_session && first.frozen)
-                .then(|| {
-                    g.slots
-                        .get(first_idx)
-                        .and_then(|s| s.as_ref())
-                        .map(|s| s.key.clone())
-                })
-                .flatten();
-            d.entries.push(first);
-            if let Some(key) = &pool_key {
-                Self::gather_pooled(
-                    &mut g,
-                    key,
-                    now,
-                    &d.cfg,
-                    &mut d.spare_plans,
-                    &mut d.entries,
-                    &mut d.keep,
-                );
             }
-            drop(g);
+            if let Some(e) = checkout(conns, tok, now, &d.cfg, &mut d.spare_plans) {
+                rows += e.plan.run.len();
+                d.entries.push(e);
+            }
+        }
+        std::mem::swap(ready, &mut d.keep);
+    }
 
-            d.visit(telemetry);
+    /// Run visits on every shard until each readiness queue is empty.
+    pub(crate) fn drive(&mut self, d: &mut Driver, telemetry: &Telemetry) {
+        for shard in 0..self.ready.len() {
+            loop {
+                let now = Instant::now();
+                let Some(first) = self.ready.get_mut(shard).and_then(VecDeque::pop_front) else {
+                    break;
+                };
+                let Some(entry) = checkout(&mut self.conns, first, now, &d.cfg, &mut d.spare_plans)
+                else {
+                    continue;
+                };
+                d.entries.clear();
+                let pool_key = (d.cfg.cross_session && entry.frozen)
+                    .then(|| {
+                        self.conn(first)
+                            .and_then(|c| c.session.as_ref())
+                            .map(|s| s.key.clone())
+                    })
+                    .flatten();
+                d.entries.push(entry);
+                if let Some(key) = &pool_key {
+                    self.gather_pooled(shard, key, now, d);
+                }
 
-            // Return models (or retire on Bye) and recycle plans.
-            // lint:allow(blocking-in-event-loop): the shard lock only moves queue entries and slots
-            let mut g = self.lock();
-            for mut e in d.entries.drain(..) {
-                let plan = std::mem::replace(&mut e.plan, DrainPlan::new());
-                if let Some(slot_opt) = g.slots.get_mut(e.slot) {
-                    if slot_opt.as_ref().is_some_and(|s| s.id == e.id) {
-                        if plan.saw_bye {
-                            *slot_opt = None;
-                            g.free.push(e.slot);
-                            telemetry.session_closed();
-                        } else if let Some(slot) = slot_opt.as_mut() {
-                            slot.model = Some(e.model);
-                            slot.qnet = e.qnet;
-                            slot.decisions = e.prior + e.served;
-                            if !slot.queue.is_empty() && !slot.in_ready {
-                                slot.in_ready = true;
-                                g.ready.push_back(e.slot);
+                d.visit(&self.conns, telemetry);
+
+                // Return models, or retire on Bye, and recycle plans.
+                for mut e in d.entries.drain(..) {
+                    let plan = std::mem::take(&mut e.plan);
+                    if plan.saw_bye {
+                        // Goodbye is written: the connection, its token and
+                        // its fd go with the session.
+                        self.remove(e.tok);
+                        telemetry.session_closed();
+                        telemetry.conn_closed();
+                    } else if let Some(s) = self.conn_mut(e.tok).and_then(|c| c.session.as_mut()) {
+                        s.model = Some(e.model);
+                        s.qnet = e.qnet;
+                        s.decisions = e.prior + e.served;
+                        if !s.queue.is_empty() {
+                            if let Some(ready) = self.ready.get_mut(shard) {
+                                ready.push_back(e.tok);
                             }
                         }
                     }
+                    d.spare_plans.push(plan);
                 }
-                d.spare_plans.push(plan);
             }
-            drop(g);
         }
     }
 }
 
 /// One event-loop thread's visit state: the batch scratch of its shared
-/// forwards and the buffers every visit reuses. Never shared between
-/// threads.
+/// forwards and the buffers every visit reuses.
 pub(crate) struct Driver {
     cfg: VisitCfg,
     entries: Vec<VisitEntry>,
@@ -520,8 +470,8 @@ impl Driver {
     /// Execute the checked-out `entries` — every frozen one (all of them,
     /// or none) as one decision window with a single shared forward, a
     /// lone unfrozen one segment by segment — and write each session's
-    /// replies in one socket write.
-    fn visit(&mut self, telemetry: &Telemetry) {
+    /// replies to its connection in one socket write.
+    fn visit(&mut self, conns: &[Option<Conn>], telemetry: &Telemetry) {
         let Driver {
             cfg,
             entries,
@@ -593,8 +543,8 @@ impl Driver {
         // per session.
         for e in entries.iter_mut() {
             let VisitEntry {
+                tok,
                 id,
-                conn,
                 model,
                 plan,
                 frozen,
@@ -642,18 +592,18 @@ impl Driver {
                 .encode_into(out_buf);
             }
             // Checkpoint a retiring session *before* its Goodbye is
-            // visible: a client that reconnects the instant it sees
-            // the reply must find the file (file I/O stays outside
-            // the shard lock).
+            // visible: a client that reconnects the instant it sees the
+            // reply must find the file.
             if let (Some(k), Some(dir)) = (ckpt_key.as_ref(), cfg.checkpoint_dir.as_deref()) {
                 if save_checkpoint_file(dir, &k.model, k.seed, k.fast, *id, model) {
                     telemetry.checkpoint_saved();
                 }
             }
-            // One socket write for the session's whole visit; a
-            // vanished client is the client's problem, the session
-            // still drains.
-            let _ = conn.send(out_buf);
+            // One socket write for the session's whole visit; a vanished
+            // client is the client's problem, the session still drains.
+            if let Some(conn) = conns.get(*tok).and_then(Option::as_ref) {
+                let _ = send(&conn.stream, out_buf);
+            }
             *served = n_served;
         }
     }
@@ -695,12 +645,17 @@ mod tests {
     use crate::session::offline_decisions;
     use std::net::{TcpListener, TcpStream};
 
-    fn loopback_conn() -> (Arc<Conn>, TcpStream) {
+    /// Open a session of `model` on a loopback connection numbered `id`
+    /// in shard 0, returning its token and the client's end.
+    fn open(shards: &mut Shards, id: u64, model: &str, seed: u64) -> (usize, TcpStream) {
         let l = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = l.local_addr().expect("addr");
         let client = TcpStream::connect(addr).expect("connect");
         let (server_side, _) = l.accept().expect("accept");
-        (Conn::new(server_side), client)
+        let mut conn = Conn::new(server_side, id, 0);
+        let m = SessionModel::build(model, seed, true).expect("builds");
+        conn.open_session(m, key(model, seed));
+        (shards.insert(conn), client)
     }
 
     fn access(id: u32) -> SessionCmd {
@@ -738,51 +693,48 @@ mod tests {
 
     #[test]
     fn bounded_queue_bounces_accesses_and_drops_events() {
-        let shard = Shard::new();
-        let (conn, _client) = loopback_conn();
-        let model = SessionModel::build("stride", 1, true).expect("builds");
-        let slot = shard.register(9, model, conn, key("stride", 1));
+        let mut shards = Shards::new(1);
+        let (tok, _client) = open(&mut shards, 9, "stride", 1);
         for i in 0..4 {
-            assert_eq!(shard.enqueue(slot, 9, access(i), 4), Enqueue::Accepted);
+            assert_eq!(shards.enqueue(tok, access(i), 4), Some(Enqueue::Accepted));
         }
-        assert_eq!(shard.enqueue(slot, 9, access(99), 4), Enqueue::Busy);
+        assert_eq!(shards.enqueue(tok, access(99), 4), Some(Enqueue::Busy));
         assert_eq!(
-            shard.enqueue(
-                slot,
-                9,
+            shards.enqueue(
+                tok,
                 SessionCmd::Event {
                     kind: crate::protocol::EventKind::DemandFill,
                     addr: 0x40
                 },
                 4
             ),
-            Enqueue::Dropped
+            Some(Enqueue::Dropped)
         );
         // Bye is always accepted so the session can terminate.
         assert_eq!(
-            shard.enqueue(slot, 9, SessionCmd::Bye, 4),
-            Enqueue::Accepted
+            shards.enqueue(tok, SessionCmd::Bye, 4),
+            Some(Enqueue::Accepted)
         );
-        // Wrong id (recycled slot) and unknown slot both answer gone.
-        assert_eq!(shard.enqueue(slot, 77, access(0), 4), Enqueue::SessionGone);
-        assert_eq!(
-            shard.enqueue(slot + 17, 9, access(0), 4),
-            Enqueue::SessionGone
-        );
+        // A connection before its Hello, and an unknown token, carry no
+        // session to queue to.
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _pre_hello = TcpStream::connect(l.local_addr().expect("addr")).expect("connect");
+        let (server_side, _) = l.accept().expect("accept");
+        let bare = shards.insert(Conn::new(server_side, 10, 0));
+        assert_eq!(shards.enqueue(bare, access(0), 4), None);
+        assert_eq!(shards.enqueue(bare + 17, access(0), 4), None);
     }
 
     #[test]
     fn drive_returns_once_the_ready_queue_is_empty() {
-        let shard = Shard::new();
-        let (conn, client) = loopback_conn();
-        let model = SessionModel::build("stride", 2, true).expect("builds");
-        let slot = shard.register(1, model, conn, key("stride", 2));
+        let mut shards = Shards::new(1);
+        let (tok, client) = open(&mut shards, 1, "stride", 2);
         for i in 0..10 {
-            assert_eq!(shard.enqueue(slot, 1, access(i), 64), Enqueue::Accepted);
+            assert_eq!(shards.enqueue(tok, access(i), 64), Some(Enqueue::Accepted));
         }
         assert_eq!(
-            shard.enqueue(slot, 1, SessionCmd::Bye, 64),
-            Enqueue::Accepted
+            shards.enqueue(tok, SessionCmd::Bye, 64),
+            Some(Enqueue::Accepted)
         );
         let telemetry = Telemetry::new();
         let cfg = VisitCfg {
@@ -790,7 +742,7 @@ mod tests {
             ..VisitCfg::default()
         };
         // Runs on this thread: must terminate once the queue is flushed.
-        shard.drive(&mut Driver::new(cfg), &telemetry);
+        shards.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 10);
         assert_eq!(s.sessions_closed, 1);
@@ -799,93 +751,62 @@ mod tests {
     }
 
     #[test]
-    fn a_shard_has_one_driver_at_a_time() {
-        let shard = Shard::new();
-        let (conn, client) = loopback_conn();
-        let model = SessionModel::build("stride", 2, true).expect("builds");
-        let slot = shard.register(1, model, conn, key("stride", 2));
-        for i in 0..3 {
-            assert_eq!(shard.enqueue(slot, 1, access(i), 64), Enqueue::Accepted);
-        }
-        let telemetry = Telemetry::new();
-        let mut d = Driver::new(VisitCfg::default());
-        // Another thread is driving: this call leaves the work to it.
-        shard.lock().driving = true;
-        shard.drive(&mut d, &telemetry);
-        assert_eq!(telemetry.snapshot().decisions, 0);
-        assert_eq!(shard.lock().ready.len(), 1, "the command stays queued");
-        // With the flag clear, the next drive runs it to empty.
-        shard.lock().driving = false;
-        shard.drive(&mut d, &telemetry);
-        assert_eq!(telemetry.snapshot().decisions, 3);
-        let g = shard.lock();
-        assert!(g.ready.is_empty() && !g.driving);
-        drop(g);
-        drop(client);
-    }
-
-    #[test]
     fn bye_bypasses_full_queue_and_the_visit_retires_the_session() {
         // Regression: fill a session's queue to capacity, lose the
         // client, then deliver the final Bye. It must land despite the
-        // full queue (a bounced Bye would leak the slot forever), a
-        // visit must retire the session, and the slot must be recycled.
-        let shard = Shard::new();
-        let (conn, client) = loopback_conn();
-        let model = SessionModel::build("stride", 3, true).expect("builds");
-        let slot = shard.register(5, model, conn, key("stride", 3));
+        // full queue (a bounced Bye would leak the connection forever), a
+        // visit must retire the session and free its connection, and the
+        // token must be recycled.
+        let mut shards = Shards::new(1);
+        let (tok, client) = open(&mut shards, 5, "stride", 3);
         for i in 0..4 {
-            assert_eq!(shard.enqueue(slot, 5, access(i), 4), Enqueue::Accepted);
+            assert_eq!(shards.enqueue(tok, access(i), 4), Some(Enqueue::Accepted));
         }
-        assert_eq!(shard.enqueue(slot, 5, access(99), 4), Enqueue::Busy);
+        assert_eq!(shards.enqueue(tok, access(99), 4), Some(Enqueue::Busy));
         drop(client); // replies now fail to send — the session still drains
         assert_eq!(
-            shard.enqueue(slot, 5, SessionCmd::Bye, 4),
-            Enqueue::Accepted
+            shards.enqueue(tok, SessionCmd::Bye, 4),
+            Some(Enqueue::Accepted)
         );
         let telemetry = Telemetry::new();
         let cfg = VisitCfg {
             max_batch: 2,
             ..VisitCfg::default()
         };
-        shard.drive(&mut Driver::new(cfg), &telemetry);
+        shards.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.sessions_closed, 1);
+        assert_eq!(s.connections_closed, 1);
         assert_eq!(s.decisions, 4);
-        // The freed slot is reused by the next registration.
-        let (conn2, _client2) = loopback_conn();
-        let model2 = SessionModel::build("stride", 4, true).expect("builds");
-        let slot2 = shard.register(6, model2, conn2, key("stride", 4));
-        assert_eq!(slot2, slot, "retired slot is recycled via the free list");
+        assert!(shards.conn(tok).is_none(), "the connection is freed");
+        // The freed token is reused by the next connection.
+        let (tok2, _client2) = open(&mut shards, 6, "stride", 4);
+        assert_eq!(tok2, tok, "retired token is recycled via the free list");
     }
 
     #[test]
     fn same_key_frozen_sessions_share_pooled_windows() {
-        let shard = Shard::new();
-        let (conn_a, client_a) = loopback_conn();
-        let (conn_b, client_b) = loopback_conn();
-        let k = key("resemble_frozen", 7);
-        let model_a = SessionModel::build("resemble_frozen", 7, true).expect("builds");
-        let model_b = SessionModel::build("resemble_frozen", 7, true).expect("builds");
-        let slot_a = shard.register(1, model_a, conn_a, k.clone());
-        let slot_b = shard.register(2, model_b, conn_b, k);
+        let mut shards = Shards::new(1);
+        let (tok_a, client_a) = open(&mut shards, 1, "resemble_frozen", 7);
+        let (tok_b, client_b) = open(&mut shards, 2, "resemble_frozen", 7);
         for i in 0..12 {
-            assert_eq!(shard.enqueue(slot_a, 1, access(i), 64), Enqueue::Accepted);
             assert_eq!(
-                shard.enqueue(slot_b, 2, access(i + 100), 64),
-                Enqueue::Accepted
+                shards.enqueue(tok_a, access(i), 64),
+                Some(Enqueue::Accepted)
+            );
+            assert_eq!(
+                shards.enqueue(tok_b, access(i + 100), 64),
+                Some(Enqueue::Accepted)
             );
         }
-        assert_eq!(
-            shard.enqueue(slot_a, 1, SessionCmd::Bye, 64),
-            Enqueue::Accepted
-        );
-        assert_eq!(
-            shard.enqueue(slot_b, 2, SessionCmd::Bye, 64),
-            Enqueue::Accepted
-        );
+        for tok in [tok_a, tok_b] {
+            assert_eq!(
+                shards.enqueue(tok, SessionCmd::Bye, 64),
+                Some(Enqueue::Accepted)
+            );
+        }
         let telemetry = Telemetry::new();
-        shard.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
+        shards.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 24);
         assert_eq!(s.sessions_closed, 2);
@@ -900,35 +821,31 @@ mod tests {
 
     #[test]
     fn quantized_frozen_windows_serve_and_count() {
-        let shard = Shard::new();
-        let (conn_a, client_a) = loopback_conn();
-        let (conn_b, client_b) = loopback_conn();
-        let k = key("resemble_frozen", 13);
-        let model_a = SessionModel::build("resemble_frozen", 13, true).expect("builds");
-        let model_b = SessionModel::build("resemble_frozen", 13, true).expect("builds");
-        let slot_a = shard.register(1, model_a, conn_a, k.clone());
-        let slot_b = shard.register(2, model_b, conn_b, k);
+        let mut shards = Shards::new(1);
+        let (tok_a, client_a) = open(&mut shards, 1, "resemble_frozen", 13);
+        let (tok_b, client_b) = open(&mut shards, 2, "resemble_frozen", 13);
         for i in 0..12 {
-            assert_eq!(shard.enqueue(slot_a, 1, access(i), 64), Enqueue::Accepted);
             assert_eq!(
-                shard.enqueue(slot_b, 2, access(i + 100), 64),
-                Enqueue::Accepted
+                shards.enqueue(tok_a, access(i), 64),
+                Some(Enqueue::Accepted)
+            );
+            assert_eq!(
+                shards.enqueue(tok_b, access(i + 100), 64),
+                Some(Enqueue::Accepted)
             );
         }
-        assert_eq!(
-            shard.enqueue(slot_a, 1, SessionCmd::Bye, 64),
-            Enqueue::Accepted
-        );
-        assert_eq!(
-            shard.enqueue(slot_b, 2, SessionCmd::Bye, 64),
-            Enqueue::Accepted
-        );
+        for tok in [tok_a, tok_b] {
+            assert_eq!(
+                shards.enqueue(tok, SessionCmd::Bye, 64),
+                Some(Enqueue::Accepted)
+            );
+        }
         let telemetry = Telemetry::new();
         let cfg = VisitCfg {
             quantize_frozen: true,
             ..VisitCfg::default()
         };
-        shard.drive(&mut Driver::new(cfg), &telemetry);
+        shards.drive(&mut Driver::new(cfg), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 24, "every request is answered via int8");
         assert_eq!(s.sessions_closed, 2);
@@ -940,40 +857,41 @@ mod tests {
         drop(client_a);
         drop(client_b);
     }
+
     #[test]
     fn event_bearing_frozen_session_pools_with_a_plain_one() {
         // A frozen session whose plan carries cache events shares one
         // pooled window with a plain same-key session, and both still
         // serve exactly the offline decisions of their own streams.
-        let shard = Shard::new();
-        let (conn_a, mut client_a) = loopback_conn();
-        let (conn_b, mut client_b) = loopback_conn();
-        let k = key("resemble_frozen", 17);
+        let mut shards = Shards::new(1);
+        let (tok_a, mut client_a) = open(&mut shards, 1, "resemble_frozen", 17);
+        let (tok_b, mut client_b) = open(&mut shards, 2, "resemble_frozen", 17);
         let build = || SessionModel::build("resemble_frozen", 17, true).expect("builds");
-        let slot_a = shard.register(1, build(), conn_a, k.clone());
-        let slot_b = shard.register(2, build(), conn_b, k);
         let fill = |i: u32| SessionCmd::Event {
             kind: EventKind::DemandFill,
             addr: 0x2000 + u64::from(i) * 64 - 128,
         };
         for i in 0..12 {
             if i % 2 == 1 {
-                assert_eq!(shard.enqueue(slot_a, 1, fill(i), 64), Enqueue::Accepted);
+                assert_eq!(shards.enqueue(tok_a, fill(i), 64), Some(Enqueue::Accepted));
             }
-            assert_eq!(shard.enqueue(slot_a, 1, access(i), 64), Enqueue::Accepted);
             assert_eq!(
-                shard.enqueue(slot_b, 2, access(i + 100), 64),
-                Enqueue::Accepted
+                shards.enqueue(tok_a, access(i), 64),
+                Some(Enqueue::Accepted)
+            );
+            assert_eq!(
+                shards.enqueue(tok_b, access(i + 100), 64),
+                Some(Enqueue::Accepted)
             );
         }
-        for (slot, id) in [(slot_a, 1), (slot_b, 2)] {
+        for tok in [tok_a, tok_b] {
             assert_eq!(
-                shard.enqueue(slot, id, SessionCmd::Bye, 64),
-                Enqueue::Accepted
+                shards.enqueue(tok, SessionCmd::Bye, 64),
+                Some(Enqueue::Accepted)
             );
         }
         let telemetry = Telemetry::new();
-        shard.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
+        shards.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
         let s = telemetry.snapshot();
         assert_eq!(s.decisions, 24);
         assert_eq!(s.events, 6);

@@ -83,8 +83,10 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
     // Four concurrent sessions (mixed models and seeds) microbatched over
     // each `(io_threads, shards)` arrangement: every session's served
     // decisions must equal the offline sequential run of its own trace,
-    // bit for bit. (2, 1) has two event loops driving one shard; (1, 2)
-    // has one event loop driving two shards.
+    // bit for bit. A server runs `min(io_threads, shards)` event loops,
+    // each owning its shards: (2, 1) and (3, 2) ask for more loops than
+    // shards and run one per shard, and (1, 2) and (2, 3) run a loop that
+    // owns two shards.
     let sessions: &[(&str, u64)] = &[
         ("resemble", 101),
         ("resemble", 202),
@@ -101,7 +103,7 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
         })
         .collect();
 
-    for (io_threads, shards) in [(2, 2), (2, 1), (1, 2)] {
+    for (io_threads, shards) in [(2, 2), (2, 1), (1, 2), (3, 2), (2, 3)] {
         let server = Server::start(
             ServeConfig {
                 shards,

@@ -15,8 +15,8 @@
 //!   tabular controllers, lazy sampling, SBP(E) baseline)
 //! * [`stats`] — metrics and reporting helpers
 //! * [`serve`] — online prefetch-decision service (length-prefixed TCP
-//!   protocol, epoll event loops that microbatch sharded sessions,
-//!   latency telemetry)
+//!   protocol, epoll event loops that each own their shards of sessions
+//!   and microbatch them, latency telemetry)
 //!
 //! ```
 //! use resemble::prelude::*;
