@@ -28,10 +28,10 @@
 //! * `--write-baseline` — additionally write the committed baseline file
 //!   (`crates/bench/perf_baseline.json`) from this run's speedups.
 //! * `--check` — compare against the committed baseline and exit non-zero
-//!   if either gated speedup regressed more than 10% below its baseline,
-//!   or fell under its minimum (`--min-speedup`, default 1.5, for the
-//!   engine core; `--min-controller-speedup`, default 2.0, for the
-//!   controller), or any job's stats diverged.
+//!   if any gated speedup regressed more than 10% below its baseline, or
+//!   fell under its fixed floor (1.5x for the engine core, 2.0x for the
+//!   controller; the floors below for the others), or any job's stats
+//!   diverged.
 //!
 //! The gate compares *speedup over an in-process reference*, not absolute
 //! accesses/sec, so the committed baseline is portable across machines:
@@ -55,15 +55,14 @@
 //!   DQN datapath over the per-sample reference datapath on the
 //!   controller jobs: the RL-controller hot path itself.
 //! * `kernel_speedup` — dispatched-backend over scalar-backend steps/s
-//!   on the raw batched kernel path (`--min-kernel-speedup`, default
-//!   1.3). Gated only when the dispatched backend is not already
+//!   on the raw batched kernel path (floor 1.3x). Gated only when the dispatched backend is not already
 //!   scalar (so the gate stays green on hosts without AVX2 and
 //!   under `RESEMBLE_SIMD=scalar`) and the host has at least 2 cores
 //!   (below that, background load lands entirely on the measured core
 //!   and the ratio wobbles across the floor; `--write-baseline`
 //!   preserves the committed value there).
 //! * `kernel_avx512_speedup` — Avx512-tier over scalar steps/s
-//!   (`--min-avx512-speedup`, default 1.1). The tier runs the same
+//!   (floor 1.1x). The tier runs the same
 //!   compiled AVX2 f32 kernels as the `Avx2` tier, so on AVX-512 hosts
 //!   this reads like `kernel_speedup`. Auto-skipped with a named warning
 //!   on hosts without avx2+avx512f+avx512bw, and below 2 cores like the
@@ -71,20 +70,17 @@
 //!   a `RESEMBLE_SIMD` override cannot hide a regression of the tier on
 //!   a capable host.
 //! * `matrix_speedup` — parallel over serial `run_matrix` wall-clock
-//!   (`--min-matrix-speedup`, default 2.0). Gated only on hosts with at
+//!   (floor 2.0x). Gated only on hosts with at
 //!   least 4 cores (auto-skipped below: the ratio would measure
 //!   scheduling overhead, not parallelism); the serial/parallel
 //!   byte-identity check runs at any core count.
 //!
 //! Usage: `cargo run --release -p resemble-bench --bin perf_gate --
 //! [--check] [--write-baseline] [--accesses N] [--warmup N] [--reps N]
-//! [--apps a,b] [--json PATH] [--baseline PATH] [--min-speedup X]
+//! [--apps a,b] [--json PATH] [--baseline PATH]
 //! [--controller-apps a,b] [--controller-warmup N]
-//! [--controller-accesses N] [--min-controller-speedup X]
-//! [--no-controller] [--kernel-steps N] [--min-kernel-speedup X]
-//! [--min-avx512-speedup X]
-//! [--no-matrix] [--matrix-accesses N] [--matrix-warmup N]
-//! [--min-matrix-speedup X]`
+//! [--controller-accesses N] [--no-controller] [--kernel-steps N]
+//! [--no-matrix] [--matrix-accesses N] [--matrix-warmup N]`
 
 use resemble_bench::{factory, report, runner, Options};
 use resemble_nn::simd;
@@ -373,6 +369,19 @@ fn measure_matrix(reps: usize, warmup: usize, measure: usize, seed: u64) -> Matr
     }
 }
 
+/// Floor of the gated `engine_core_speedup` (optimized engine vs seed
+/// reference).
+const MIN_ENGINE_CORE_SPEEDUP: f64 = 1.5;
+/// Floor of the gated `controller_speedup` (batched vs per-sample DQN
+/// datapath).
+const MIN_CONTROLLER_SPEEDUP: f64 = 2.0;
+/// Floor of the gated `kernel_speedup` (dispatched vs scalar kernels).
+const MIN_KERNEL_SPEEDUP: f64 = 1.3;
+/// Floor of the gated `kernel_avx512_speedup` (Avx512 tier vs scalar).
+const MIN_AVX512_SPEEDUP: f64 = 1.1;
+/// Floor of the gated `matrix_speedup` (parallel vs serial `run_matrix`).
+const MIN_MATRIX_SPEEDUP: f64 = 2.0;
+
 fn main() {
     let opts = Options::from_env_checked(&[
         "check",
@@ -381,44 +390,19 @@ fn main() {
         "controller-apps",
         "pfs",
         "baseline",
-        "min-controller-speedup",
-        "min-speedup",
         "controller-accesses",
         "controller-warmup",
         "reps",
         "kernel-steps",
-        "min-kernel-speedup",
-        "min-avx512-speedup",
         "no-matrix",
         "matrix-accesses",
         "matrix-warmup",
-        "min-matrix-speedup",
     ]);
     let warmup = opts.usize("warmup", 10_000);
     let measure = opts.usize("accesses", 40_000);
     let seed = opts.u64("seed", 42);
     let reps = opts.usize("reps", 3).max(1);
-    let min_speedup = opts
-        .str("min-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.5);
-    let min_controller_speedup = opts
-        .str("min-controller-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(2.0);
-    let min_kernel_speedup = opts
-        .str("min-kernel-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.3);
-    let min_avx512_speedup = opts
-        .str("min-avx512-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(1.1);
     let kernel_steps = opts.usize("kernel-steps", 200).max(1);
-    let min_matrix_speedup = opts
-        .str("min-matrix-speedup")
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(2.0);
     let matrix_warmup = opts.usize("matrix-warmup", 2_000);
     let matrix_measure = opts.usize("matrix-accesses", 10_000);
     let no_matrix = opts.flag("no-matrix");
@@ -715,7 +699,7 @@ fn main() {
         rep.jobs.len()
     );
     println!(
-        "engine-core speedup (gated): {:.2}x geo-mean over {} apps (target >= {min_speedup:.2}x)",
+        "engine-core speedup (gated): {:.2}x geo-mean over {} apps (target >= {MIN_ENGINE_CORE_SPEEDUP:.2}x)",
         rep.engine_core_speedup,
         core_speedups.len()
     );
@@ -749,7 +733,7 @@ fn main() {
             "controller speedup (gated): {:.2}x geo-mean over {} apps (target >= {:.2}x), {:.1} kacc/s batched",
             rep.controller_speedup,
             rep.controller_jobs.len(),
-            min_controller_speedup,
+            MIN_CONTROLLER_SPEEDUP,
             rep.controller_aps / 1e3
         );
     }
@@ -788,12 +772,12 @@ fn main() {
         );
         println!("{}", kt.render());
         println!(
-            "kernel speedup (gated when dispatched != scalar): {:.2}x dispatched ({}) vs scalar (target >= {min_kernel_speedup:.2}x)",
+            "kernel speedup (gated when dispatched != scalar): {:.2}x dispatched ({}) vs scalar (target >= {MIN_KERNEL_SPEEDUP:.2}x)",
             rep.kernel.speedup, rep.kernel.dispatched
         );
         if rep.kernel.avx512_speedup > 0.0 {
             println!(
-                "avx512 kernel speedup (gated on avx512 hosts): {:.2}x vs scalar (target >= {min_avx512_speedup:.2}x)",
+                "avx512 kernel speedup (gated on avx512 hosts): {:.2}x vs scalar (target >= {MIN_AVX512_SPEEDUP:.2}x)",
                 rep.kernel.avx512_speedup
             );
         } else {
@@ -818,7 +802,7 @@ fn main() {
         );
         if m.host_cores >= 4 {
             println!(
-                "matrix speedup (gated): {:.2}x parallel vs serial (target >= {min_matrix_speedup:.2}x)",
+                "matrix speedup (gated): {:.2}x parallel vs serial (target >= {MIN_MATRIX_SPEEDUP:.2}x)",
                 m.speedup
             );
         } else {
@@ -924,17 +908,17 @@ fn main() {
         // overhead, not parallelism.
         let matrix_speedup = match &rep.matrix {
             Some(m) if m.host_cores >= 4 => m.speedup,
-            _ => kept_or("matrix_speedup", min_matrix_speedup),
+            _ => kept_or("matrix_speedup", MIN_MATRIX_SPEEDUP),
         };
         let kernel_speedup = if kernel_cores_skip.is_none() {
             rep.kernel.speedup
         } else {
-            kept_or("kernel_speedup", min_kernel_speedup)
+            kept_or("kernel_speedup", MIN_KERNEL_SPEEDUP)
         };
         let kernel_avx512_speedup = if avx512_skip.is_none() {
             rep.kernel.avx512_speedup
         } else {
-            kept_or("kernel_avx512_speedup", min_avx512_speedup)
+            kept_or("kernel_avx512_speedup", MIN_AVX512_SPEEDUP)
         };
         let b = Baseline {
             engine_core_speedup: rep.engine_core_speedup,
@@ -974,21 +958,21 @@ fn main() {
                 "engine-core",
                 "engine_core_speedup",
                 rep.engine_core_speedup,
-                min_speedup,
+                MIN_ENGINE_CORE_SPEEDUP,
                 None::<String>,
             ),
             (
                 "controller",
                 "controller_speedup",
                 rep.controller_speedup,
-                min_controller_speedup,
+                MIN_CONTROLLER_SPEEDUP,
                 no_controller.then(|| "--no-controller".to_string()),
             ),
             (
                 "kernel",
                 "kernel_speedup",
                 rep.kernel.speedup,
-                min_kernel_speedup,
+                MIN_KERNEL_SPEEDUP,
                 (rep.kernel.dispatched == "scalar")
                     .then(|| "scalar-dispatched kernels".to_string())
                     .or(kernel_cores_skip),
@@ -997,14 +981,14 @@ fn main() {
                 "kernel-avx512",
                 "kernel_avx512_speedup",
                 rep.kernel.avx512_speedup,
-                min_avx512_speedup,
+                MIN_AVX512_SPEEDUP,
                 avx512_skip,
             ),
             (
                 "matrix",
                 "matrix_speedup",
                 rep.matrix.as_ref().map_or(0.0, |m| m.speedup),
-                min_matrix_speedup,
+                MIN_MATRIX_SPEEDUP,
                 matrix_skip,
             ),
         ];

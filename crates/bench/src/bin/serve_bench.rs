@@ -119,10 +119,12 @@ fn run_int8_scenario(model: &str, rows: usize, iters: usize, seed: u64) -> Int8R
     use resemble_nn::quant::argmax_row;
     use resemble_nn::{BatchScratch, Matrix, QuantizedMlp};
 
-    let template = SessionModel::build(model, seed, true).expect("int8 scenario model builds");
-    let net = template
-        .inference_net()
-        .expect("int8 scenario model has an inference net");
+    let SessionModel::Mlp(template) =
+        SessionModel::build(model, seed, true).expect("int8 scenario model builds")
+    else {
+        panic!("int8 scenario model {model} is not an MLP controller");
+    };
+    let net = template.agent().inference_net();
     let dim = net.input_dim();
     let states = Matrix::from_fn(rows, dim, |r, c| {
         ((r * dim + c) as f64 * 0.173).sin() as f32

@@ -5,8 +5,6 @@
 //! abstract quotes slightly different averages — 85.27/44.22/31.02 vs the
 //! results text's 85.27/41.02/29.52; we reference the results text).
 
-use resemble_stats::Table;
-
 /// Per-prefetcher averages the paper reports (Figs 8–10 text).
 #[derive(Debug, Clone, Copy)]
 pub struct PaperAverages {
@@ -106,15 +104,6 @@ pub fn banner(exp: &str, what: &str) {
 /// Render a percent as a fixed-width cell.
 pub fn pct(v: f64) -> String {
     format!("{v:.2}%")
-}
-
-/// Build a paper-vs-measured table skeleton.
-pub fn compare_table(metric: &str) -> Table {
-    Table::new(vec![
-        "prefetcher",
-        &format!("{metric} (paper avg)"),
-        &format!("{metric} (measured avg)"),
-    ])
 }
 
 #[cfg(test)]

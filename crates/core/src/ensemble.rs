@@ -190,34 +190,49 @@ impl ResembleMlp {
 
     /// Process a run of consecutive accesses in batched decision windows,
     /// calling `emit(index, issued_prefetches)` once per access in order.
+    /// `events` are cache events tagged as [`ResembleMlp::window_prepare`]
+    /// takes them, with the index in `accesses` of the access each
+    /// precedes (`accesses.len()` after the last one), in stream order.
     ///
     /// **Bit-identical** to calling [`Prefetcher::on_access`] once per
-    /// access: the run is split at role-switch boundaries (the inference
-    /// network is constant in between — training touches only the policy
-    /// net), each window takes *one* [`resemble_nn::Mlp::forward_batch`]
+    /// access, each event applied through its hook just before the access
+    /// it precedes: the run is split only at role-switch boundaries (the
+    /// inference network is constant in between — training touches only
+    /// the policy net), each window applies its events to the bank at
+    /// their positions and takes *one* [`resemble_nn::Mlp::forward_batch`]
     /// over all window states, and the per-access bookkeeping (reward
     /// delivery, ε-greedy RNG draws, replay pushes, training ticks) then
     /// replays sequentially in the exact per-access order. This is the
     /// serving hot path of `resemble-serve`, pinned by the
-    /// `window_decisions_bit_identical_to_sequential` test below.
+    /// `window_decisions_bit_identical_to_sequential` and
+    /// `events_inside_one_window_match_per_segment_windows` tests below.
     pub fn on_access_window(
         &mut self,
         accesses: &[(MemAccess, bool)],
+        events: &[(usize, CacheEvent)],
         mut emit: impl FnMut(usize, &[u64]),
     ) {
         let mut start = 0;
+        let mut events = events;
         while start < accesses.len() {
             let bound = self.agent.decision_window_bound().max(1);
-            let m = (accesses.len() - start).min(bound);
-            let chunk = &accesses[start..start + m];
+            let end = start + (accesses.len() - start).min(bound);
+            let chunk = &accesses[start..end];
+            let (inside, rest) = events.split_at(events.partition_point(|&(at, _)| at < end));
             // Phase A, then phase B through this controller's own
             // inference net, then phase C — the fused single-session path.
-            self.window_prepare(chunk, &[]);
+            self.prepare(chunk, inside, start);
             let mut q = std::mem::take(&mut self.win_q);
             self.agent.q_batch_into(&self.win_states, &mut q);
             self.window_commit(chunk, &q, 0, |k, issued| emit(start + k, issued));
             self.win_q = q;
-            start += m;
+            events = rest;
+            start = end;
+        }
+        // Events after the last access reach only the bank, which no
+        // committed window reads again.
+        for (_, e) in events {
+            self.bank.on_cache_events(std::slice::from_ref(e));
         }
     }
 
@@ -251,13 +266,24 @@ impl ResembleMlp {
         chunk: &[(MemAccess, bool)],
         events: &[(usize, CacheEvent)],
     ) -> &Matrix {
+        self.prepare(chunk, events, 0)
+    }
+
+    /// [`ResembleMlp::window_prepare`] of a chunk that starts at index
+    /// `base` of the run its `events` are tagged against.
+    fn prepare(
+        &mut self,
+        chunk: &[(MemAccess, bool)],
+        events: &[(usize, CacheEvent)],
+        base: usize,
+    ) -> &Matrix {
         let members = self.bank.len();
         self.win_states.resize(chunk.len(), self.cfg.input_dim());
         self.win_sugg.clear();
         self.win_spans.clear();
         let mut events = events.iter().peekable();
         for (k, (access, hit)) in chunk.iter().enumerate() {
-            while let Some((_, e)) = events.next_if(|&&(at, _)| at <= k) {
+            while let Some((_, e)) = events.next_if(|&&(at, _)| at <= base + k) {
                 self.bank.on_cache_events(std::slice::from_ref(e));
             }
             self.obs_buf.clear();
@@ -688,7 +714,7 @@ mod tests {
         let mut ci = 0;
         while pos < accesses.len() {
             let m = chunk_sizes[ci % chunk_sizes.len()].min(accesses.len() - pos);
-            win.on_access_window(&accesses[pos..pos + m], |k, issued| {
+            win.on_access_window(&accesses[pos..pos + m], &[], |k, issued| {
                 win_out[pos + k] = issued.to_vec();
             });
             pos += m;
@@ -745,7 +771,7 @@ mod tests {
         let row0 = 3usize; // simulate other sessions' rows packed ahead
         for (c, chunk) in accesses.chunks(37).enumerate() {
             let pos = c * 37;
-            fused.on_access_window(chunk, |k, issued| {
+            fused.on_access_window(chunk, &[], |k, issued| {
                 fused_out[pos + k] = issued.to_vec();
             });
             let states = split.window_prepare(chunk, &[]);
@@ -820,9 +846,10 @@ mod tests {
         // A window whose events ride inside `window_prepare` (applied to
         // the bank at their positions, trailing ones at `chunk.len()`)
         // must equal the per-segment path: the events through the hooks,
-        // then `on_access_window` on each event-free segment. Learning and
-        // frozen controllers; the `LastEvent` member makes an event
-        // applied one access early or late change a state row.
+        // then `on_access_window` on each event-free segment. So must one
+        // `on_access_window` over the whole stream with its events inside.
+        // Learning and frozen controllers; the `LastEvent` member makes an
+        // event applied one access early or late change a state row.
         let mut src = StreamGen::new(5, 3, 4096, 0).with_write_ratio(0.1);
         let n = 3000usize;
         let accesses: Vec<(MemAccess, bool)> = (0..n)
@@ -860,7 +887,7 @@ mod tests {
                 m.agent_mut().frozen = frozen;
                 m
             };
-            let (mut seg, mut win, mut blind) = (build(), build(), build());
+            let (mut seg, mut win, mut blind, mut one) = (build(), build(), build(), build());
 
             let mut seg_out: Vec<Vec<u64>> = Vec::new();
             let (mut start, mut ev) = (0usize, 0usize);
@@ -873,7 +900,7 @@ mod tests {
                     break;
                 }
                 let end = events.get(ev).map_or(n, |e| e.0.min(n));
-                seg.on_access_window(&accesses[start..end], |_, issued| {
+                seg.on_access_window(&accesses[start..end], &[], |_, issued| {
                     seg_out.push(issued.to_vec())
                 });
                 start = end;
@@ -908,7 +935,13 @@ mod tests {
             assert_eq!(ev, events.len(), "every event applied");
 
             let mut blind_out: Vec<Vec<u64>> = Vec::new();
-            blind.on_access_window(&accesses, |_, issued| blind_out.push(issued.to_vec()));
+            blind.on_access_window(&accesses, &[], |_, issued| blind_out.push(issued.to_vec()));
+
+            // The whole stream in one call, its events inside.
+            let mut one_out: Vec<Vec<u64>> = Vec::new();
+            one.on_access_window(&accesses, &events, |_, issued| {
+                one_out.push(issued.to_vec())
+            });
 
             assert_eq!(
                 seg_out, win_out,
@@ -926,6 +959,14 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(rewards(&seg), rewards(&win));
+
+            assert_eq!(
+                seg_out, one_out,
+                "frozen={frozen}: one call with its events diverged"
+            );
+            assert_eq!(seg.agent().param_bits(), one.agent().param_bits());
+            assert_eq!(seg.stats.action_counts, one.stats.action_counts);
+            assert_eq!(rewards(&seg), rewards(&one));
         }
     }
 

@@ -323,15 +323,6 @@ impl Matrix {
         });
     }
 
-    /// Elementwise `self += alpha * other`.
-    pub fn add_scaled(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Set all elements to zero.
     pub fn clear(&mut self) {
         self.data.fill(0.0);
@@ -395,11 +386,8 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_and_clear() {
-        let mut a = Matrix::zeros(1, 3);
-        let b = Matrix::from_rows(1, 3, vec![1.0, 2.0, 3.0]);
-        a.add_scaled(0.5, &b);
-        assert_eq!(a.as_slice(), &[0.5, 1.0, 1.5]);
+    fn clear_zeroes_every_element() {
+        let mut a = Matrix::from_rows(1, 3, vec![1.0, 2.0, 3.0]);
         a.clear();
         assert_eq!(a.as_slice(), &[0.0, 0.0, 0.0]);
     }

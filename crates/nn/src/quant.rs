@@ -416,14 +416,6 @@ impl QuantizedMlp {
             }
         }
     }
-
-    /// Argmax decision per row of a forward pass over `xs` (ties to the
-    /// lower index, like [`Mlp::argmax`]) — the comparison hook the
-    /// agreement measurements use.
-    pub fn decide_batch(&mut self, xs: &Matrix, out: &mut Matrix) -> Vec<usize> {
-        self.forward_into(xs, out);
-        (0..out.rows()).map(|r| argmax_row(out.row(r))).collect()
-    }
 }
 
 /// Grow-only `Vec::resize`: never shrinks, so alternating layer shapes
@@ -632,7 +624,8 @@ mod tests {
         let ps = probes(400, 8, 12);
         let xs = Matrix::from_fn(ps.len(), 8, |r, c| ps[r][c]);
         let mut out = Matrix::zeros(0, 0);
-        let q_decisions = qnet.decide_batch(&xs, &mut out);
+        qnet.forward_into(&xs, &mut out);
+        let q_decisions: Vec<usize> = (0..out.rows()).map(|r| argmax_row(out.row(r))).collect();
         let mut scratch = net.make_scratch();
         let same = ps
             .iter()

@@ -2,10 +2,11 @@
 //! drain plan of decision requests, position-tagged events, and expired
 //! requests.
 //!
-//! A shard visit calls `drain_session` as it checks a session out (it
-//! only moves queue entries — no model work, no I/O), then executes the
-//! plan. The plan preserves the queue's stream order
-//! exactly: live accesses collect into one run, and each cache event is
+//! A shard visit calls `drain_session` on each session it serves, into
+//! that session's own plan (it only moves queue entries — no model work,
+//! no I/O), then executes the plan. The plan preserves the queue's stream
+//! order exactly: live accesses collect into one run, in the
+//! `(MemAccess, bool)` rows the model reads, and each cache event is
 //! tagged with the index in that run of the access it precedes, so the
 //! model can apply it between the accesses it arrived between. Requests
 //! whose deadline already passed are pulled out for `TimedOut` replies
@@ -13,7 +14,7 @@
 //! on the decision hot path (`panic-in-hot-path` scope): no panics, no
 //! literal indexing.
 
-use crate::protocol::EventKind;
+use resemble_prefetch::CacheEvent;
 use resemble_trace::MemAccess;
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -39,12 +40,7 @@ pub enum SessionCmd {
     /// A decision request.
     Access(AccessReq),
     /// Cache feedback to apply between accesses.
-    Event {
-        /// What happened.
-        kind: EventKind,
-        /// Block-aligned byte address.
-        addr: u64,
-    },
+    Event(CacheEvent),
     /// End of session: flush, reply Goodbye, drop the model.
     Bye,
 }
@@ -55,11 +51,13 @@ pub enum SessionCmd {
 /// cleared, capacity kept).
 #[derive(Debug, Default)]
 pub struct DrainPlan {
-    /// Every live access drained, in stream order.
-    pub run: Vec<AccessReq>,
-    /// `(index in run of the access it precedes, kind, addr)`, in stream
-    /// order; events after the last access carry `run.len()`.
-    pub events: Vec<(usize, EventKind, u64)>,
+    /// Every live access drained, in stream order, as the model reads it.
+    pub run: Vec<(MemAccess, bool)>,
+    /// Per entry of `run`, its request id and enqueue time, for its reply.
+    pub replies: Vec<(u32, Instant)>,
+    /// `(index in run of the access it precedes, event)`, in stream order;
+    /// events after the last access carry `run.len()`.
+    pub events: Vec<(usize, CacheEvent)>,
     /// Requests whose deadline passed while queued (never reach the model).
     pub timed_out: Vec<AccessReq>,
     /// The session's `Bye` was reached.
@@ -70,6 +68,7 @@ impl DrainPlan {
     /// Reset for the next drain, keeping allocations.
     pub fn clear(&mut self) {
         self.run.clear();
+        self.replies.clear();
         self.events.clear();
         self.timed_out.clear();
         self.saw_bye = false;
@@ -95,10 +94,11 @@ pub fn drain_session(
                 if req.deadline.is_some_and(|d| d <= now) {
                     plan.timed_out.push(req);
                 } else {
-                    plan.run.push(req);
+                    plan.run.push((req.access, req.hit));
+                    plan.replies.push((req.req_id, req.enqueued));
                 }
             }
-            SessionCmd::Event { kind, addr } => plan.events.push((plan.run.len(), kind, addr)),
+            SessionCmd::Event(e) => plan.events.push((plan.run.len(), e)),
             SessionCmd::Bye => {
                 plan.saw_bye = true;
                 break;
@@ -123,7 +123,7 @@ mod tests {
     }
 
     fn run_ids(plan: &DrainPlan) -> Vec<u32> {
-        plan.run.iter().map(|r| r.req_id).collect()
+        plan.replies.iter().map(|&(id, _)| id).collect()
     }
 
     #[test]
@@ -151,37 +151,29 @@ mod tests {
     #[test]
     fn events_are_tagged_with_the_access_they_precede() {
         let mut q = VecDeque::new();
-        q.push_back(SessionCmd::Event {
-            kind: EventKind::PrefetchFill,
-            addr: 0x80,
-        });
+        q.push_back(SessionCmd::Event(CacheEvent::PrefetchFill { addr: 0x80 }));
         q.push_back(req(0, None));
         q.push_back(req(1, None));
-        q.push_back(SessionCmd::Event {
-            kind: EventKind::DemandFill,
-            addr: 0x40,
-        });
+        q.push_back(SessionCmd::Event(CacheEvent::DemandFill { addr: 0x40 }));
         q.push_back(req(2, None));
-        q.push_back(SessionCmd::Event {
-            kind: EventKind::Evict {
-                unused_prefetch: true,
-            },
+        q.push_back(SessionCmd::Event(CacheEvent::Evict {
             addr: 0xc0,
-        });
+            unused_prefetch: true,
+        }));
         let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![0, 1, 2]);
         assert_eq!(
             plan.events,
             vec![
-                (0, EventKind::PrefetchFill, 0x80),
-                (2, EventKind::DemandFill, 0x40),
+                (0, CacheEvent::PrefetchFill { addr: 0x80 }),
+                (2, CacheEvent::DemandFill { addr: 0x40 }),
                 (
                     3,
-                    EventKind::Evict {
+                    CacheEvent::Evict {
+                        addr: 0xc0,
                         unused_prefetch: true
-                    },
-                    0xc0
+                    }
                 ),
             ]
         );
@@ -192,10 +184,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(req(0, None));
         q.push_back(req(1, None));
-        q.push_back(SessionCmd::Event {
-            kind: EventKind::DemandFill,
-            addr: 0x40,
-        });
+        q.push_back(SessionCmd::Event(CacheEvent::DemandFill { addr: 0x40 }));
         q.push_back(req(2, None));
         let mut plan = DrainPlan::default();
         drain_session(&mut q, 2, Instant::now(), &mut plan);
@@ -204,7 +193,10 @@ mod tests {
         assert_eq!(q.len(), 2, "the event and the third access wait");
         drain_session(&mut q, 2, Instant::now(), &mut plan);
         assert_eq!(run_ids(&plan), vec![2]);
-        assert_eq!(plan.events, vec![(0, EventKind::DemandFill, 0x40)]);
+        assert_eq!(
+            plan.events,
+            vec![(0, CacheEvent::DemandFill { addr: 0x40 })]
+        );
     }
 
     #[test]
@@ -215,10 +207,7 @@ mod tests {
         let mut q = VecDeque::new();
         q.push_back(req(0, future));
         q.push_back(req(1, past)); // expired in queue
-        q.push_back(SessionCmd::Event {
-            kind: EventKind::DemandFill,
-            addr: 0x40,
-        });
+        q.push_back(SessionCmd::Event(CacheEvent::DemandFill { addr: 0x40 }));
         q.push_back(req(2, None));
         let mut plan = DrainPlan::default();
         drain_session(&mut q, 64, now, &mut plan);
@@ -230,7 +219,10 @@ mod tests {
         );
         // The expired request does not move the event: it still precedes
         // access 2, the run's second entry.
-        assert_eq!(plan.events, vec![(1, EventKind::DemandFill, 0x40)]);
+        assert_eq!(
+            plan.events,
+            vec![(1, CacheEvent::DemandFill { addr: 0x40 })]
+        );
     }
 
     #[test]

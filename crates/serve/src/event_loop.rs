@@ -41,7 +41,7 @@
 
 use crate::batcher::{AccessReq, SessionCmd};
 use crate::protocol::{Reply, Request, MAX_FRAME};
-use crate::session::{load_checkpoint_file, ModelBuilder};
+use crate::session::{cache_event, load_checkpoint_file, ModelBuilder};
 use crate::shard::{send, Conn, Driver, Enqueue, SessionKey, Shards, VisitCfg};
 use crate::telemetry::Telemetry;
 use std::io::{self, Read};
@@ -631,7 +631,7 @@ impl IoLoop {
                 true
             }
             (Ok(Request::Event { kind, addr }), true) => {
-                let cmd = SessionCmd::Event { kind, addr };
+                let cmd = SessionCmd::Event(cache_event(kind, addr));
                 if self.shards.enqueue(tok, cmd, cap) == Some(Enqueue::Dropped) {
                     self.ctx.telemetry.event_dropped();
                 }

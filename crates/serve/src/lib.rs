@@ -9,13 +9,15 @@
 //! connection is one session with its own ensemble/prefetcher state
 //! ([`session`]), partitioned across shards that each belong to one
 //! event loop (`shard`). After each `epoll_wait` batch, the thread that
-//! owns a shard, and so read its requests, microbatches whatever a
-//! session has queued — up to `max_batch` — into `Mlp::forward_batch`
-//! decision windows (`batcher`, `ResembleMlp::on_access_window`), and
-//! writes the replies itself. A frozen session's drained plan is one
-//! window, its cache events included, and the frozen
-//! same-`(model, seed, fast)` sessions ready on a shard share one forward
-//! per visit through the heading session's net (`shard`). That keeps
+//! owns a shard, and so read its requests, drains whatever a session has
+//! queued — up to `max_batch` accesses, with the cache events between
+//! them — into one plan (`batcher`), serves the plan where the session
+//! lives, and writes the replies itself. A learning session's plan is
+//! one `ResembleMlp::on_access_window` call, one `Mlp::forward_batch`
+//! per window between role switches; a frozen session's plan is one
+//! window, and the frozen same-`(model, seed, fast)` sessions ready on a
+//! shard share one forward per visit through the heading session's net
+//! (`shard`). That keeps
 //! the GEMM kernels on the serving hot path while staying
 //! **bit-identical** to an offline sequential run of the same stream, no
 //! matter how sessions interleave. Session models can checkpoint to disk

@@ -4,15 +4,16 @@
 //! One connection is one session is one model instance — sessions never
 //! share learned state, which is what makes served decisions bit-identical
 //! to an offline run of the same stream no matter how the scheduler
-//! interleaves sessions. The [`ResembleMlp`] controller gets the batched
-//! decision-window path ([`ResembleMlp::on_access_window`], one
-//! `forward_batch` per window; a frozen one splits each window around a
-//! forward that the shard may share across sessions); every other
-//! prefetcher runs its ordinary sequential `on_access` loop.
+//! interleaves sessions. A learning [`ResembleMlp`] controller serves a
+//! plan in one [`ResembleMlp::on_access_window`] call, its cache events
+//! inside, with one `forward_batch` per window between role switches (the
+//! shard runs a frozen one's window in phases around a forward it may
+//! share across sessions); every other prefetcher runs its ordinary
+//! sequential `on_access` loop, each event applied just before the access
+//! it precedes.
 
 use crate::protocol::EventKind;
 use resemble_core::{ResembleConfig, ResembleMlp};
-use resemble_nn::{Matrix, Mlp};
 use resemble_prefetch::{
     paper_bank, BestOffset, CacheEvent, Prefetcher, Spp, Streamer, StridePrefetcher,
 };
@@ -89,15 +90,34 @@ impl SessionModel {
 
     /// Apply a run of consecutive accesses, calling
     /// `emit(index_in_run, issued_prefetches)` once per access in order.
-    pub fn on_run(&mut self, accesses: &[(MemAccess, bool)], mut emit: impl FnMut(usize, &[u64])) {
+    pub fn on_run(&mut self, accesses: &[(MemAccess, bool)], emit: impl FnMut(usize, &[u64])) {
+        self.on_plan(accesses, &[], emit);
+    }
+
+    /// [`SessionModel::on_run`] with cache events between the accesses,
+    /// each tagged with the index of the access it precedes
+    /// (`accesses.len()` after the last one) and applied just before it.
+    pub(crate) fn on_plan(
+        &mut self,
+        accesses: &[(MemAccess, bool)],
+        events: &[(usize, CacheEvent)],
+        mut emit: impl FnMut(usize, &[u64]),
+    ) {
         match self {
-            SessionModel::Mlp(m) => m.on_access_window(accesses, emit),
+            SessionModel::Mlp(m) => m.on_access_window(accesses, events, emit),
             SessionModel::Boxed(b) => {
+                let mut events = events.iter().peekable();
                 let mut out = Vec::new();
                 for (k, (access, hit)) in accesses.iter().enumerate() {
+                    while let Some((_, e)) = events.next_if(|&&(at, _)| at <= k) {
+                        b.on_cache_events(std::slice::from_ref(e));
+                    }
                     out.clear();
                     b.on_access(access, *hit, &mut out);
                     emit(k, &out);
+                }
+                for (_, e) in events {
+                    b.on_cache_events(std::slice::from_ref(e));
                 }
             }
         }
@@ -105,12 +125,8 @@ impl SessionModel {
 
     /// Apply one cache-feedback event in stream order.
     pub fn on_event(&mut self, kind: EventKind, addr: u64) {
-        let p = self.prefetcher_mut();
-        match kind {
-            EventKind::PrefetchFill => p.on_prefetch_fill(addr),
-            EventKind::DemandFill => p.on_demand_fill(addr),
-            EventKind::Evict { unused_prefetch } => p.on_evict(addr, unused_prefetch),
-        }
+        self.prefetcher_mut()
+            .on_cache_events(&[cache_event(kind, addr)]);
     }
 
     /// Bit patterns of the controller's network parameters, if this model
@@ -127,48 +143,6 @@ impl SessionModel {
     /// are a pure function of the Hello triple and never change.
     pub fn pool_eligible(&self) -> bool {
         matches!(self, SessionModel::Mlp(m) if m.is_frozen())
-    }
-
-    /// The controller's inference network: the heading session's copy
-    /// forwards a pooled window. `None` for non-MLP sessions.
-    pub fn inference_net(&self) -> Option<&Mlp> {
-        match self {
-            SessionModel::Mlp(m) => Some(m.agent().inference_net()),
-            SessionModel::Boxed(_) => None,
-        }
-    }
-
-    /// Phase A of a pooled decision window: feed the run through the
-    /// prefetcher bank, applying each `(index of the access it precedes,
-    /// event)` at its position, and capture per-access MLP states. Returns
-    /// the state matrix (one row per access), or `None` for non-MLP
-    /// sessions. Every `window_prepare` must be followed by exactly one
-    /// [`SessionModel::window_commit`] over the same run.
-    pub fn window_prepare(
-        &mut self,
-        accesses: &[(MemAccess, bool)],
-        events: &[(usize, CacheEvent)],
-    ) -> Option<&Matrix> {
-        match self {
-            SessionModel::Mlp(m) => Some(m.window_prepare(accesses, events)),
-            SessionModel::Boxed(_) => None,
-        }
-    }
-
-    /// Phase C of a pooled decision window: consume Q rows
-    /// `row0..row0 + run.len()` of `q` and commit rewards, action
-    /// selection, replay, and emissions exactly as the fused
-    /// [`ResembleMlp::on_access_window`] would.
-    pub fn window_commit(
-        &mut self,
-        accesses: &[(MemAccess, bool)],
-        q: &Matrix,
-        row0: usize,
-        emit: impl FnMut(usize, &[u64]),
-    ) {
-        if let SessionModel::Mlp(m) = self {
-            m.window_commit(accesses, q, row0, emit);
-        }
     }
 
     /// Serialize the controller's learned state. Returns `Ok(false)` for
@@ -191,8 +165,9 @@ impl SessionModel {
     }
 }
 
-/// The bank-level form of a wire event, for
-/// [`SessionModel::window_prepare`] (a one-to-one map).
+/// The model-level form of a wire event (a one-to-one map): the only way
+/// an [`EventKind`] reaches a model, as the frame is queued or through
+/// [`SessionModel::on_event`].
 pub(crate) fn cache_event(kind: EventKind, addr: u64) -> CacheEvent {
     match kind {
         EventKind::PrefetchFill => CacheEvent::PrefetchFill { addr },
@@ -405,37 +380,5 @@ mod tests {
         let name = p.file_name().and_then(|n| n.to_str()).expect("name");
         assert_eq!(name, "___evil_name-3-0.ckpt");
         assert_eq!(p.parent(), Some(Path::new("/tmp/x")));
-    }
-
-    #[test]
-    fn split_window_phases_match_fused_run() {
-        // The shard's frozen-window path: one window per chunk with its
-        // events inside `window_prepare`, forwarded through the inference
-        // net, must serve what `on_event` + `on_run` per segment serve.
-        let t = trace(119); // seven chunks of 17
-        let fill = |i: usize| (EventKind::DemandFill, 0x10_0000 + i as u64 * 64 + 192);
-        let mut fused = SessionModel::build("resemble_frozen", 9, true).expect("builds");
-        let mut expect: Vec<Vec<u64>> = Vec::new();
-        for (c, chunk) in t.chunks(17).enumerate() {
-            fused.on_run(&chunk[..5], |_, issued| expect.push(issued.to_vec()));
-            let (kind, addr) = fill(c);
-            fused.on_event(kind, addr);
-            fused.on_run(&chunk[5..], |_, issued| expect.push(issued.to_vec()));
-        }
-        let mut split = SessionModel::build("resemble_frozen", 9, true).expect("builds");
-        let mut got: Vec<Vec<u64>> = Vec::new();
-        let mut scratch = resemble_nn::BatchScratch::default();
-        for (c, chunk) in t.chunks(17).enumerate() {
-            let (kind, addr) = fill(c);
-            let states = split
-                .window_prepare(chunk, &[(5, cache_event(kind, addr))])
-                .expect("mlp session")
-                .clone();
-            let net = split.inference_net().expect("mlp session");
-            let q = net.forward_batch(&states, &mut scratch);
-            split.window_commit(chunk, q, 0, |_, issued| got.push(issued.to_vec()));
-        }
-        assert_eq!(got, expect);
-        assert_eq!(split.param_bits(), fused.param_bits());
     }
 }

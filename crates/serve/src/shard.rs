@@ -15,26 +15,29 @@
 //! writes every reply, in stream order, through the connection's only
 //! stream.
 //!
-//! A visit drains one ready session, and — when that session is a frozen
-//! MLP and cross-session batching is on — steals every other ready
-//! session of its shard with the same `SessionKey` in the same pass. Each
-//! frozen session's drained plan is exactly one decision window, its cache
-//! events included: phase A (`window_prepare`) applies the events to the
-//! session's own bank at their positions and stacks its state rows into
-//! one matrix, then **one** batched forward runs over every row through
-//! the heading session's inference net (under `quantize_frozen`, through
-//! that session's int8 copy, built the first time it heads a window and
-//! kept with its session), then phase C (`window_commit`) runs per
-//! session. Because frozen same-key sessions have bit-identical
-//! never-changing weights and the batch kernels preserve per-row
-//! accumulation order, pooled decisions are bit-identical to serving each
-//! session alone. A session that is not frozen is visited alone and
-//! replays its plan segment by segment, each event applied between the
-//! runs it arrived between.
+//! A visit is the list of tokens it serves, and it works on each session
+//! where it lives, in its connection's slot: it drains the session's
+//! queue into the session's own plan, runs the plan, and writes the
+//! replies through that connection's stream. It starts from one ready
+//! session and — when that session is a frozen MLP and cross-session
+//! batching is on — drains every other ready session of its shard with
+//! the same `SessionKey` in the same pass. Each frozen session's drained
+//! plan is exactly one decision window, its cache events included: phase
+//! A (`window_prepare`) applies the events to the session's own bank at
+//! their positions and stacks its state rows into one matrix, then
+//! **one** batched forward runs over every row through the heading
+//! session's inference net (under `quantize_frozen`, through that
+//! session's int8 copy, built the first time it heads a window and kept
+//! with its session), then phase C (`window_commit`) runs per session.
+//! Because frozen same-key sessions have bit-identical never-changing
+//! weights and the batch kernels preserve per-row accumulation order,
+//! pooled decisions are bit-identical to serving each session alone. A
+//! session that is not frozen is visited alone and serves its plan in one
+//! call, each event applied just before the access it precedes.
 //!
-//! On a `Bye` the visit flushes the queue, answers `Goodbye`, optionally
-//! checkpoints the model (warm restart for the next same-key Hello), and
-//! frees the connection: its slot, its token and its fd. Visits run on
+//! On a `Bye` the visit flushes the queue, optionally checkpoints the
+//! model (warm restart for the next same-key Hello), answers `Goodbye`,
+//! and frees the connection: its slot, its token and its fd. Visits run on
 //! the epoll thread, so this file is in the `blocking-in-event-loop`
 //! scope: its one blocking call is `send`'s stall on a client that stops
 //! reading, bounded (~5 s, then `TimedOut`) but holding the event loop
@@ -43,12 +46,10 @@
 
 use crate::batcher::{drain_session, DrainPlan, SessionCmd};
 use crate::event_loop::FrameBuf;
-use crate::protocol::{encode_decision_into, EventKind, Reply};
-use crate::session::{cache_event, save_checkpoint_file, SessionModel};
+use crate::protocol::{encode_decision_into, Reply};
+use crate::session::{save_checkpoint_file, SessionModel};
 use crate::telemetry::Telemetry;
 use resemble_nn::{BatchScratch, Matrix, QuantizedMlp};
-use resemble_prefetch::CacheEvent;
-use resemble_trace::MemAccess;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::net::TcpStream;
@@ -152,11 +153,12 @@ impl Default for VisitCfg {
     }
 }
 
-/// A session between visits.
+/// A session, in its connection's slab slot from Hello until it retires.
 struct Session {
-    /// `None` while a visit has the model checked out.
-    model: Option<SessionModel>,
+    model: SessionModel,
     queue: VecDeque<SessionCmd>,
+    /// What the last visit drained, reused by every visit of the session.
+    plan: DrainPlan,
     decisions: u64,
     /// A frozen MLP session (`SessionModel::pool_eligible`).
     frozen: bool,
@@ -202,8 +204,9 @@ impl Conn {
     pub(crate) fn open_session(&mut self, model: SessionModel, key: SessionKey) {
         self.session = Some(Session {
             frozen: model.pool_eligible(),
-            model: Some(model),
+            model,
             queue: VecDeque::new(),
+            plan: DrainPlan::default(),
             decisions: 0,
             qnet: None,
             key,
@@ -214,6 +217,16 @@ impl Conn {
     pub(crate) fn has_session(&self) -> bool {
         self.session.is_some()
     }
+}
+
+/// The session on `tok`, if any.
+fn session(conns: &[Option<Conn>], tok: usize) -> Option<&Session> {
+    conns.get(tok)?.as_ref()?.session.as_ref()
+}
+
+/// The session on `tok`, mutably.
+fn session_mut(conns: &mut [Option<Conn>], tok: usize) -> Option<&mut Session> {
+    conns.get_mut(tok)?.as_mut()?.session.as_mut()
 }
 
 /// The shards one event loop owns: every connection routed to them, in a
@@ -228,53 +241,6 @@ pub(crate) struct Shards {
     /// queue is non-empty: only the owning loop enqueues, and never during
     /// a visit.
     ready: Vec<VecDeque<usize>>,
-}
-
-/// A session checked out of its connection for one visit.
-struct VisitEntry {
-    tok: usize,
-    id: u64,
-    model: SessionModel,
-    qnet: Option<QuantizedMlp>,
-    prior: u64,
-    plan: DrainPlan,
-    /// A frozen MLP session: its plan is one decision window through the
-    /// visit's shared forward.
-    frozen: bool,
-    /// First row of this entry's window inside the stacked state matrix.
-    row0: usize,
-    served: u64,
-    /// Set when retiring with checkpoints enabled.
-    ckpt_key: Option<SessionKey>,
-}
-
-/// Take the session's model on `tok` and drain its queue into a fresh
-/// plan, producing the visit entry. `None` if `tok` carries no session.
-fn checkout(
-    conns: &mut [Option<Conn>],
-    tok: usize,
-    now: Instant,
-    cfg: &VisitCfg,
-    spare: &mut Vec<DrainPlan>,
-) -> Option<VisitEntry> {
-    let conn = conns.get_mut(tok).and_then(Option::as_mut)?;
-    let s = conn.session.as_mut()?;
-    let model = s.model.take()?;
-    let mut plan = spare.pop().unwrap_or_default();
-    drain_session(&mut s.queue, cfg.max_batch.max(1), now, &mut plan);
-    let ckpt_key = (plan.saw_bye && cfg.checkpoint_dir.is_some()).then(|| s.key.clone());
-    Some(VisitEntry {
-        tok,
-        id: conn.id,
-        model,
-        qnet: s.qnet.take(),
-        prior: s.decisions,
-        plan,
-        frozen: s.frozen,
-        row0: 0,
-        served: 0,
-        ckpt_key,
-    })
 }
 
 impl Shards {
@@ -337,7 +303,7 @@ impl Shards {
         let full = s.queue.len() >= cap.max(1);
         Some(match cmd {
             SessionCmd::Access(_) if full => Enqueue::Busy,
-            SessionCmd::Event { .. } if full => Enqueue::Dropped,
+            SessionCmd::Event(_) if full => Enqueue::Dropped,
             cmd => {
                 if s.queue.is_empty() {
                     if let Some(ready) = self.ready.get_mut(conn.shard) {
@@ -350,31 +316,32 @@ impl Shards {
         })
     }
 
-    /// Steal every other ready frozen session of `shard` with `key` into
-    /// the visit (up to [`POOL_ROWS`] pooled rows), preserving the
+    /// Drain every other ready frozen session of `shard` with the same key
+    /// as `head`'s into the visit, while the visit holds fewer than
+    /// [`POOL_ROWS`] rows (`max_batch` when larger), preserving the
     /// readiness order of the sessions left behind.
-    fn gather_pooled(&mut self, shard: usize, key: &SessionKey, now: Instant, d: &mut Driver) {
+    fn gather_pooled(&mut self, shard: usize, head: usize, now: Instant, d: &mut Driver) {
         let Shards { conns, ready, .. } = self;
         let Some(ready) = ready.get_mut(shard) else {
             return;
         };
-        let cap_rows = POOL_ROWS.max(d.cfg.max_batch.max(1));
-        let mut rows: usize = d.entries.iter().map(|e| e.plan.run.len()).sum();
+        let max_batch = d.cfg.max_batch.max(1);
+        let cap_rows = POOL_ROWS.max(max_batch);
+        let mut rows = session(conns, head).map_or(0, |s| s.plan.run.len());
         d.keep.clear();
         while let Some(tok) = ready.pop_front() {
             let steal = rows < cap_rows
-                && conns
-                    .get(tok)
-                    .and_then(Option::as_ref)
-                    .and_then(|c| c.session.as_ref())
-                    .is_some_and(|s| s.frozen && s.key == *key);
+                && session(conns, tok)
+                    .zip(session(conns, head))
+                    .is_some_and(|(s, h)| s.frozen && s.key == h.key);
             if !steal {
                 d.keep.push_back(tok);
                 continue;
             }
-            if let Some(e) = checkout(conns, tok, now, &d.cfg, &mut d.spare_plans) {
-                rows += e.plan.run.len();
-                d.entries.push(e);
+            if let Some(s) = session_mut(conns, tok) {
+                drain_session(&mut s.queue, max_batch, now, &mut s.plan);
+                rows += s.plan.run.len();
+                d.toks.push(tok);
             }
         }
         std::mem::swap(ready, &mut d.keep);
@@ -383,65 +350,176 @@ impl Shards {
     /// Run visits on every shard until each readiness queue is empty.
     pub(crate) fn drive(&mut self, d: &mut Driver, telemetry: &Telemetry) {
         for shard in 0..self.ready.len() {
-            loop {
+            while let Some(head) = self.ready.get_mut(shard).and_then(VecDeque::pop_front) {
                 let now = Instant::now();
-                let Some(first) = self.ready.get_mut(shard).and_then(VecDeque::pop_front) else {
-                    break;
-                };
-                let Some(entry) = checkout(&mut self.conns, first, now, &d.cfg, &mut d.spare_plans)
-                else {
+                let Some(s) = session_mut(&mut self.conns, head) else {
                     continue;
                 };
-                d.entries.clear();
-                let pool_key = (d.cfg.cross_session && entry.frozen)
-                    .then(|| {
-                        self.conn(first)
-                            .and_then(|c| c.session.as_ref())
-                            .map(|s| s.key.clone())
-                    })
-                    .flatten();
-                d.entries.push(entry);
-                if let Some(key) = &pool_key {
-                    self.gather_pooled(shard, key, now, d);
+                drain_session(&mut s.queue, d.cfg.max_batch.max(1), now, &mut s.plan);
+                let pool = d.cfg.cross_session && s.frozen;
+                d.toks.clear();
+                d.toks.push(head);
+                if pool {
+                    self.gather_pooled(shard, head, now, d);
                 }
+                self.visit(shard, d, telemetry);
+            }
+        }
+    }
 
-                d.visit(&self.conns, telemetry);
+    /// Serve the drained sessions on `d.toks` where they live — every
+    /// frozen one (all of them, or none) as one decision window with a
+    /// single shared forward, a lone unfrozen one in one call — and write
+    /// each session's replies to its connection in one socket write. A
+    /// session that said `Bye` retires here, freeing its connection; one
+    /// with commands left goes back on its shard's readiness queue.
+    fn visit(&mut self, shard: usize, d: &mut Driver, telemetry: &Telemetry) {
+        let Driver {
+            cfg,
+            toks,
+            counts,
+            out_buf,
+            states,
+            scratch,
+            q,
+            ..
+        } = d;
+        // Phase A: each frozen session prepares its whole plan, events
+        // included, and its state rows stack into one matrix.
+        let (mut rows, mut sessions) = (0usize, 0usize);
+        for &tok in toks.iter() {
+            let Some(Session {
+                model: SessionModel::Mlp(m),
+                plan,
+                frozen: true,
+                ..
+            }) = session_mut(&mut self.conns, tok)
+            else {
+                continue;
+            };
+            let st = m.window_prepare(&plan.run, &plan.events);
+            states.resize(rows + st.rows(), st.cols());
+            for k in 0..st.rows() {
+                states.row_mut(rows + k).copy_from_slice(st.row(k));
+            }
+            rows += st.rows();
+            sessions += 1;
+        }
+        // Phase B: one forward over every frozen row through the heading
+        // session's net, or its int8 copy. Same-key frozen weights are
+        // bit-identical, so which session heads cannot change a row.
+        let mut q_rows: Option<&Matrix> = None;
+        let head = toks
+            .first()
+            .and_then(|&tok| session_mut(&mut self.conns, tok));
+        if let Some(Session {
+            model: SessionModel::Mlp(m),
+            frozen: true,
+            qnet,
+            ..
+        }) = head.filter(|_| rows > 0)
+        {
+            let net = m.agent().inference_net();
+            telemetry.batch(rows);
+            if sessions >= 2 {
+                telemetry.pool_batch(sessions);
+            }
+            q_rows = Some(if cfg.quantize_frozen {
+                telemetry.quantized_window(sessions);
+                qnet.get_or_insert_with(|| QuantizedMlp::from_mlp(net))
+                    .forward_into(states, q);
+                q
+            } else {
+                net.forward_batch(states, scratch)
+            });
+        }
 
-                // Return models, or retire on Bye, and recycle plans.
-                for mut e in d.entries.drain(..) {
-                    let plan = std::mem::take(&mut e.plan);
-                    if plan.saw_bye {
-                        // Goodbye is written: the connection, its token and
-                        // its fd go with the session.
-                        self.remove(e.tok);
-                        telemetry.session_closed();
-                        telemetry.conn_closed();
-                    } else if let Some(s) = self.conn_mut(e.tok).and_then(|c| c.session.as_mut()) {
-                        s.model = Some(e.model);
-                        s.qnet = e.qnet;
-                        s.decisions = e.prior + e.served;
-                        if !s.queue.is_empty() {
-                            if let Some(ready) = self.ready.get_mut(shard) {
-                                ready.push_back(e.tok);
-                            }
-                        }
+        // Phase C (or the unfrozen plan), replies, and one socket write
+        // per session.
+        let mut row0 = 0usize;
+        for &tok in toks.iter() {
+            let Some(Conn {
+                stream,
+                id,
+                session: Some(s),
+                ..
+            }) = self.conns.get_mut(tok).and_then(Option::as_mut)
+            else {
+                continue;
+            };
+            out_buf.clear();
+            counts.clear();
+            let replies = &s.plan.replies;
+            let mut emit = |k: usize, issued: &[u64]| {
+                if let Some(&(req_id, _)) = replies.get(k) {
+                    encode_decision_into(out_buf, req_id, issued);
+                }
+                counts.push(issued.len());
+            };
+            if !s.frozen {
+                s.model.on_plan(&s.plan.run, &s.plan.events, &mut emit);
+                if !s.plan.run.is_empty() {
+                    telemetry.batch(s.plan.run.len());
+                }
+            } else if let (SessionModel::Mlp(m), Some(q)) = (&mut s.model, q_rows) {
+                m.window_commit(&s.plan.run, q, row0, &mut emit);
+                row0 += s.plan.run.len();
+            }
+            for _ in &s.plan.events {
+                telemetry.event();
+            }
+            let done = Instant::now();
+            for (&(_, enqueued), c) in s.plan.replies.iter().zip(counts.iter()) {
+                let us = done.saturating_duration_since(enqueued).as_micros();
+                telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
+            }
+            s.decisions += counts.len() as u64;
+            for r in &s.plan.timed_out {
+                Reply::TimedOut { req_id: r.req_id }.encode_into(out_buf);
+                telemetry.timeout();
+            }
+            let bye = s.plan.saw_bye;
+            if bye {
+                Reply::Goodbye {
+                    decisions: s.decisions,
+                }
+                .encode_into(out_buf);
+                // Checkpoint a retiring session *before* its Goodbye is
+                // visible: a client that reconnects the instant it sees
+                // the reply must find the file.
+                if let Some(dir) = cfg.checkpoint_dir.as_deref() {
+                    let k = &s.key;
+                    if save_checkpoint_file(dir, &k.model, k.seed, k.fast, *id, &s.model) {
+                        telemetry.checkpoint_saved();
                     }
-                    d.spare_plans.push(plan);
+                }
+            }
+            let pending = !s.queue.is_empty();
+            // One socket write for the session's whole visit; a vanished
+            // client is the client's problem, the session still drains.
+            let _ = send(stream, out_buf);
+            if bye {
+                // Goodbye is written: the connection, its token and its fd
+                // go with the session.
+                self.remove(tok);
+                telemetry.session_closed();
+                telemetry.conn_closed();
+            } else if pending {
+                if let Some(ready) = self.ready.get_mut(shard) {
+                    ready.push_back(tok);
                 }
             }
         }
     }
 }
 
-/// One event-loop thread's visit state: the batch scratch of its shared
-/// forwards and the buffers every visit reuses.
+/// One event-loop thread's visit state: the tokens a visit serves, the
+/// batch scratch of its shared forwards and the buffers every visit
+/// reuses.
 pub(crate) struct Driver {
     cfg: VisitCfg,
-    entries: Vec<VisitEntry>,
-    spare_plans: Vec<DrainPlan>,
+    toks: Vec<usize>,
     keep: VecDeque<usize>,
-    acc_buf: Vec<(MemAccess, bool)>,
-    ev_buf: Vec<(usize, CacheEvent)>,
     counts: Vec<usize>,
     out_buf: Vec<u8>,
     states: Matrix,
@@ -454,11 +532,8 @@ impl Driver {
     pub(crate) fn new(cfg: VisitCfg) -> Driver {
         Driver {
             cfg,
-            entries: Vec::new(),
-            spare_plans: Vec::new(),
+            toks: Vec::new(),
             keep: VecDeque::new(),
-            acc_buf: Vec::new(),
-            ev_buf: Vec::new(),
             counts: Vec::new(),
             out_buf: Vec::new(),
             states: Matrix::default(),
@@ -466,183 +541,15 @@ impl Driver {
             q: Matrix::default(),
         }
     }
-
-    /// Execute the checked-out `entries` — every frozen one (all of them,
-    /// or none) as one decision window with a single shared forward, a
-    /// lone unfrozen one segment by segment — and write each session's
-    /// replies to its connection in one socket write.
-    fn visit(&mut self, conns: &[Option<Conn>], telemetry: &Telemetry) {
-        let Driver {
-            cfg,
-            entries,
-            acc_buf,
-            ev_buf,
-            counts,
-            out_buf,
-            states,
-            scratch,
-            q,
-            ..
-        } = self;
-        // Phase A: each frozen session prepares its whole plan, events
-        // included, into one stacked state matrix.
-        let rows: usize = entries
-            .iter()
-            .filter(|e| e.frozen)
-            .map(|e| e.plan.run.len())
-            .sum();
-        let sessions = entries.iter().filter(|e| e.frozen).count();
-        let dim = entries
-            .iter()
-            .find(|e| e.frozen)
-            .and_then(|e| e.model.inference_net())
-            .map_or(0, |n| n.input_dim());
-        states.resize(rows, dim);
-        let mut row = 0usize;
-        for e in entries.iter_mut().filter(|e| e.frozen) {
-            e.row0 = row;
-            acc_buf.clear();
-            acc_buf.extend(e.plan.run.iter().map(|r| (r.access, r.hit)));
-            ev_buf.clear();
-            ev_buf.extend(
-                e.plan
-                    .events
-                    .iter()
-                    .map(|&(at, kind, addr)| (at, cache_event(kind, addr))),
-            );
-            if let Some(st) = e.model.window_prepare(acc_buf, ev_buf) {
-                for k in 0..st.rows() {
-                    states.row_mut(row + k).copy_from_slice(st.row(k));
-                }
-            }
-            row += e.plan.run.len();
-        }
-        // Phase B: one forward over every frozen row through the heading
-        // session's net, or its int8 copy. Same-key frozen weights are
-        // bit-identical, so which session heads cannot change a row.
-        let mut q_rows: Option<&Matrix> = None;
-        if let Some(head) = entries.first_mut().filter(|e| e.frozen && rows > 0) {
-            let VisitEntry { model, qnet, .. } = head;
-            if let Some(net) = model.inference_net() {
-                telemetry.batch(rows);
-                if sessions >= 2 {
-                    telemetry.pool_batch(sessions);
-                }
-                q_rows = Some(if cfg.quantize_frozen {
-                    telemetry.quantized_window(sessions);
-                    qnet.get_or_insert_with(|| QuantizedMlp::from_mlp(net))
-                        .forward_into(states, q);
-                    q
-                } else {
-                    net.forward_batch(states, scratch)
-                });
-            }
-        }
-
-        // Phase C (or the unfrozen replay), replies, and one socket write
-        // per session.
-        for e in entries.iter_mut() {
-            let VisitEntry {
-                tok,
-                id,
-                model,
-                plan,
-                frozen,
-                row0,
-                prior,
-                served,
-                ckpt_key,
-                ..
-            } = e;
-            out_buf.clear();
-            counts.clear();
-            acc_buf.clear();
-            acc_buf.extend(plan.run.iter().map(|r| (r.access, r.hit)));
-            let reqs = &plan.run;
-            let mut emit = |k: usize, issued: &[u64]| {
-                if let Some(r) = reqs.get(k) {
-                    encode_decision_into(out_buf, r.req_id, issued);
-                }
-                counts.push(issued.len());
-            };
-            if *frozen {
-                if let Some(q) = q_rows {
-                    model.window_commit(acc_buf, q, *row0, &mut emit);
-                }
-            } else {
-                replay(model, acc_buf, &plan.events, &mut emit, telemetry);
-            }
-            for _ in &plan.events {
-                telemetry.event();
-            }
-            let done = Instant::now();
-            for (r, c) in reqs.iter().zip(counts.iter()) {
-                let us = done.saturating_duration_since(r.enqueued).as_micros();
-                telemetry.decision(u64::try_from(us).unwrap_or(u64::MAX), *c);
-            }
-            let n_served = counts.len() as u64;
-            for r in &plan.timed_out {
-                Reply::TimedOut { req_id: r.req_id }.encode_into(out_buf);
-                telemetry.timeout();
-            }
-            if plan.saw_bye {
-                Reply::Goodbye {
-                    decisions: *prior + n_served,
-                }
-                .encode_into(out_buf);
-            }
-            // Checkpoint a retiring session *before* its Goodbye is
-            // visible: a client that reconnects the instant it sees the
-            // reply must find the file.
-            if let (Some(k), Some(dir)) = (ckpt_key.as_ref(), cfg.checkpoint_dir.as_deref()) {
-                if save_checkpoint_file(dir, &k.model, k.seed, k.fast, *id, model) {
-                    telemetry.checkpoint_saved();
-                }
-            }
-            // One socket write for the session's whole visit; a vanished
-            // client is the client's problem, the session still drains.
-            if let Some(conn) = conns.get(*tok).and_then(Option::as_ref) {
-                let _ = send(&conn.stream, out_buf);
-            }
-            *served = n_served;
-        }
-    }
-}
-
-/// Serve an unfrozen session's plan as consecutive windows: each event
-/// through `on_event` at its position, each event-free segment of `run`
-/// through one `on_run`.
-fn replay(
-    model: &mut SessionModel,
-    run: &[(MemAccess, bool)],
-    events: &[(usize, EventKind, u64)],
-    emit: &mut impl FnMut(usize, &[u64]),
-    telemetry: &Telemetry,
-) {
-    let mut events = events.iter().peekable();
-    let mut start = 0usize;
-    loop {
-        while let Some(&(_, kind, addr)) = events.next_if(|e| e.0 <= start) {
-            model.on_event(kind, addr);
-        }
-        if start >= run.len() {
-            return;
-        }
-        // Every event left lies past `start`, so the segment is nonempty.
-        let end = events.peek().map_or(run.len(), |e| e.0.min(run.len()));
-        let segment = run.get(start..end).unwrap_or(&[]);
-        model.on_run(segment, |k, issued| emit(start + k, issued));
-        telemetry.batch(segment.len());
-        start = end;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batcher::AccessReq;
-    use crate::protocol::read_frame;
-    use crate::session::offline_decisions;
+    use crate::protocol::{read_frame, EventKind};
+    use crate::session::{cache_event, offline_decisions};
+    use resemble_trace::MemAccess;
     use std::net::{TcpListener, TcpStream};
 
     /// Open a session of `model` on a loopback connection numbered `id`
@@ -702,10 +609,7 @@ mod tests {
         assert_eq!(
             shards.enqueue(
                 tok,
-                SessionCmd::Event {
-                    kind: crate::protocol::EventKind::DemandFill,
-                    addr: 0x40
-                },
+                SessionCmd::Event(cache_event(EventKind::DemandFill, 0x40)),
                 4
             ),
             Some(Enqueue::Dropped)
@@ -858,6 +762,47 @@ mod tests {
         drop(client_b);
     }
 
+    /// A `DemandFill` of the line two blocks behind access `i`.
+    fn fill_addr(i: u32) -> u64 {
+        0x2000 + u64::from(i) * 64 - 128
+    }
+
+    /// Accesses `base..base + n` as the model reads them.
+    fn trace(base: u32, n: u32) -> Vec<(MemAccess, bool)> {
+        (base..base + n)
+            .filter_map(|i| match access(i) {
+                SessionCmd::Access(r) => Some((r.access, r.hit)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The offline replay of `trace` with a fill before every odd access,
+    /// each applied through `on_event` just before the access it precedes.
+    fn offline_with_fills(model: &str, seed: u64, trace: &[(MemAccess, bool)]) -> Vec<Vec<u64>> {
+        let mut m = SessionModel::build(model, seed, true).expect("builds");
+        let mut expect = Vec::new();
+        for (i, step) in trace.iter().enumerate() {
+            if i % 2 == 1 {
+                m.on_event(EventKind::DemandFill, fill_addr(i as u32));
+            }
+            expect.extend(offline_decisions(&mut m, std::slice::from_ref(step)));
+        }
+        expect
+    }
+
+    /// The decisions a client read, checking they arrived in stream order
+    /// from request id `base` on.
+    fn served(got: Vec<(u32, Vec<u64>)>, base: u32) -> Vec<Vec<u64>> {
+        got.into_iter()
+            .enumerate()
+            .map(|(k, (id, d))| {
+                assert_eq!(id, base + k as u32, "replies in stream order");
+                d
+            })
+            .collect()
+    }
+
     #[test]
     fn event_bearing_frozen_session_pools_with_a_plain_one() {
         // A frozen session whose plan carries cache events shares one
@@ -867,10 +812,7 @@ mod tests {
         let (tok_a, mut client_a) = open(&mut shards, 1, "resemble_frozen", 17);
         let (tok_b, mut client_b) = open(&mut shards, 2, "resemble_frozen", 17);
         let build = || SessionModel::build("resemble_frozen", 17, true).expect("builds");
-        let fill = |i: u32| SessionCmd::Event {
-            kind: EventKind::DemandFill,
-            addr: 0x2000 + u64::from(i) * 64 - 128,
-        };
+        let fill = |i: u32| SessionCmd::Event(cache_event(EventKind::DemandFill, fill_addr(i)));
         for i in 0..12 {
             if i % 2 == 1 {
                 assert_eq!(shards.enqueue(tok_a, fill(i), 64), Some(Enqueue::Accepted));
@@ -897,43 +839,46 @@ mod tests {
         assert_eq!(s.events, 6);
         assert!(s.pool_batches >= 1, "the event-bearing session pooled");
 
-        let trace = |base: u32| -> Vec<(MemAccess, bool)> {
-            (base..base + 12)
-                .filter_map(|i| match access(i) {
-                    SessionCmd::Access(r) => Some((r.access, r.hit)),
-                    _ => None,
-                })
-                .collect()
-        };
         // Offline: session A's events between the accesses they precede.
-        let (ta, tb) = (trace(0), trace(100));
-        let mut offline_a = build();
-        let mut expect_a = Vec::new();
-        for (i, step) in ta.iter().enumerate() {
-            if let SessionCmd::Event { kind, addr } = fill(i as u32) {
-                if i % 2 == 1 {
-                    offline_a.on_event(kind, addr);
-                }
-            }
-            expect_a.extend(offline_decisions(
-                &mut offline_a,
-                std::slice::from_ref(step),
-            ));
-        }
-        let expect_b = offline_decisions(&mut build(), &tb);
-        let served = |got: Vec<(u32, Vec<u64>)>, base: u32| -> Vec<Vec<u64>> {
-            got.into_iter()
-                .enumerate()
-                .map(|(k, (id, d))| {
-                    assert_eq!(id, base + k as u32, "replies in stream order");
-                    d
-                })
-                .collect()
-        };
+        let expect_a = offline_with_fills("resemble_frozen", 17, &trace(0, 12));
+        let expect_b = offline_decisions(&mut build(), &trace(100, 12));
         assert_eq!(served(decisions_until_goodbye(&mut client_a), 0), expect_a);
         assert_eq!(
             served(decisions_until_goodbye(&mut client_b), 100),
             expect_b
         );
+    }
+
+    #[test]
+    fn learning_session_serves_its_events_inside_one_window() {
+        // A learning session's plan, events included, is one call: with a
+        // fill before every other access, the events no longer cut the
+        // plan into one- and two-access windows, and the replies are still
+        // the offline replay's.
+        let mut shards = Shards::new(1);
+        let (tok, mut client) = open(&mut shards, 1, "resemble", 19);
+        for i in 0..32 {
+            if i % 2 == 1 {
+                let fill = SessionCmd::Event(cache_event(EventKind::DemandFill, fill_addr(i)));
+                assert_eq!(shards.enqueue(tok, fill, 64), Some(Enqueue::Accepted));
+            }
+            assert_eq!(shards.enqueue(tok, access(i), 64), Some(Enqueue::Accepted));
+        }
+        assert_eq!(
+            shards.enqueue(tok, SessionCmd::Bye, 64),
+            Some(Enqueue::Accepted)
+        );
+        let telemetry = Telemetry::new();
+        shards.drive(&mut Driver::new(VisitCfg::default()), &telemetry);
+        let s = telemetry.snapshot();
+        assert_eq!(s.decisions, 32);
+        assert_eq!(s.events, 16);
+        assert!(
+            s.batch_size_hist.iter().any(|&(size, _)| size > 2),
+            "events split the plan into windows: {:?}",
+            s.batch_size_hist
+        );
+        let expect = offline_with_fills("resemble", 19, &trace(0, 32));
+        assert_eq!(served(decisions_until_goodbye(&mut client), 0), expect);
     }
 }

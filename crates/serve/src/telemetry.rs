@@ -204,11 +204,6 @@ impl Telemetry {
         self.decisions.load(Ordering::Relaxed)
     }
 
-    /// Sessions closed so far.
-    pub fn sessions_closed_total(&self) -> u64 {
-        self.sessions_closed.load(Ordering::Relaxed)
-    }
-
     fn percentile(&self, q: f64) -> u64 {
         let total: u64 = self.latency.iter().map(|b| b.load(Ordering::Relaxed)).sum();
         if total == 0 {

@@ -78,28 +78,51 @@ fn serve_with_fills(
     decisions
 }
 
+/// The offline reference for [`serve_with_fills`]: the sequential run of
+/// `trace`, with each fill applied through `on_event` just before the
+/// access it precedes.
+fn offline_with_fills(
+    model: &str,
+    seed: u64,
+    trace: &[(MemAccess, bool)],
+    fills: bool,
+) -> Vec<Vec<u64>> {
+    let mut m = SessionModel::build(model, seed, true).expect("model builds");
+    let mut decisions = Vec::with_capacity(trace.len());
+    for (i, step) in trace.iter().enumerate() {
+        if fills && i % 2 == 1 {
+            m.on_event(
+                EventKind::DemandFill,
+                (step.0.addr & !63).saturating_sub(128),
+            );
+        }
+        decisions.extend(offline_decisions(&mut m, std::slice::from_ref(step)));
+    }
+    decisions
+}
+
 #[test]
 fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
     // Four concurrent sessions (mixed models and seeds) microbatched over
     // each `(io_threads, shards)` arrangement: every session's served
     // decisions must equal the offline sequential run of its own trace,
-    // bit for bit. A server runs `min(io_threads, shards)` event loops,
+    // bit for bit. The learning and `bo` sessions send a cache event
+    // before every other access, which the offline run applies at the
+    // same point. A server runs `min(io_threads, shards)` event loops,
     // each owning its shards: (2, 1) and (3, 2) ask for more loops than
     // shards and run one per shard, and (1, 2) and (2, 3) run a loop that
     // owns two shards.
-    let sessions: &[(&str, u64)] = &[
-        ("resemble", 101),
-        ("resemble", 202),
-        ("resemble_frozen", 303),
-        ("bo", 404),
+    let sessions: &[(&str, u64, bool)] = &[
+        ("resemble", 101, true),
+        ("resemble", 202, true),
+        ("resemble_frozen", 303, false),
+        ("bo", 404, true),
     ];
     let n = 1500;
     let offline: Vec<Vec<Vec<u64>>> = sessions
         .iter()
-        .map(|&(model, seed)| {
-            let trace = session_trace(seed, n);
-            let mut m = SessionModel::build(model, seed, true).expect("model builds");
-            offline_decisions(&mut m, &trace)
+        .map(|&(model, seed, fills)| {
+            offline_with_fills(model, seed, &session_trace(seed, n), fills)
         })
         .collect();
 
@@ -119,10 +142,10 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
         let served: Vec<Vec<Vec<u64>>> = std::thread::scope(|s| {
             let handles: Vec<_> = sessions
                 .iter()
-                .map(|&(model, seed)| {
+                .map(|&(model, seed, fills)| {
                     s.spawn(move || {
                         let trace = session_trace(seed, n);
-                        serve_trace(addr, model, seed, &trace, 24)
+                        serve_with_fills(addr, model, seed, &trace, 24, fills)
                     })
                 })
                 .collect();
@@ -143,6 +166,7 @@ fn served_decisions_bit_identical_to_offline_across_concurrent_sessions() {
         assert_eq!(snap.sessions_opened, sessions.len() as u64, "{arrangement}");
         assert_eq!(snap.sessions_closed, sessions.len() as u64, "{arrangement}");
         assert_eq!(snap.decisions, (sessions.len() * n) as u64, "{arrangement}");
+        assert_eq!(snap.events, (3 * n / 2) as u64, "{arrangement}");
         assert!(
             snap.batch_size_hist.iter().any(|&(size, _)| size > 1),
             "{arrangement}: microbatching never formed a batch > 1: {:?}",

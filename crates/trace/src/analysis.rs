@@ -55,14 +55,6 @@ pub fn block_series(trace: &[MemAccess]) -> Vec<f64> {
         .collect()
 }
 
-/// Series of block deltas between consecutive accesses (length n-1).
-pub fn delta_series(trace: &[MemAccess]) -> Vec<f64> {
-    trace
-        .windows(2)
-        .map(|w| (w[1].block() as i64).wrapping_sub(w[0].block() as i64) as f64)
-        .collect()
-}
-
 /// Autocorrelation of the trace's block-address series (Fig 1a).
 ///
 /// The paper's Fig 1 plots are ACFs of the access *values*: streaming apps
@@ -70,12 +62,6 @@ pub fn delta_series(trace: &[MemAccess]) -> Vec<f64> {
 /// irregular apps show insignificant spikes.
 pub fn trace_autocorrelation(trace: &[MemAccess], max_lag: usize) -> Vec<f64> {
     autocorrelation(&block_series(trace), max_lag)
-}
-
-/// Autocorrelation of the block-delta series (useful when the address
-/// series is trend-dominated).
-pub fn delta_autocorrelation(trace: &[MemAccess], max_lag: usize) -> Vec<f64> {
-    autocorrelation(&delta_series(trace), max_lag)
 }
 
 /// Per-PC series concatenated in first-appearance order, as block values
@@ -181,32 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn delta_series_length_and_values() {
-        let t = vec![acc(0, 1, 0x0), acc(1, 1, 0x40), acc(2, 1, 0xc0)];
-        let d = delta_series(&t);
-        assert_eq!(d, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn stream_trace_has_high_delta_autocorrelation() {
-        // Pure stream: delta constant => zero-variance delta series => empty
-        // ACF; interleave two strides so the delta series is periodic.
-        let mut t = Vec::new();
-        for i in 0..500u64 {
-            let addr = if i % 2 == 0 {
-                0x10000 + (i / 2) * 64
-            } else {
-                0x80000 + (i / 2) * 128
-            };
-            t.push(acc(i, 1, addr));
-        }
-        let acf = delta_autocorrelation(&t, 8);
-        // Period-2 interleave => strong lag-2 correlation.
-        assert!(
-            acf[1] > 0.8,
-            "lag-2 delta ACF should be high, got {}",
-            acf[1]
-        );
+    fn stream_value_series_is_trend_dominated() {
         // A single stream's value series is trend-dominated: AC ≈ +1.
         let single: Vec<MemAccess> = (0..500u64).map(|i| acc(i, 1, 0x10000 + i * 64)).collect();
         let v = trace_autocorrelation(&single, 8);

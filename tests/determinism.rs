@@ -129,10 +129,11 @@ fn tabular_controller_runs_are_bit_identical() {
 
 #[test]
 fn served_session_is_bit_identical_to_offline_run() {
-    // Serving the same access stream over the socket — microbatched by the
-    // shard worker — must leave the controller in the same state and issue
-    // the same prefetches as the plain sequential run, including the final
-    // network parameters bit for bit.
+    // Serving the same access stream over the socket — decided in
+    // microbatches by the event loop that owns the session's shard — must
+    // leave the controller in the same state and issue the same prefetches
+    // as the plain sequential run, including the final network parameters
+    // bit for bit.
     use resemble::serve::{offline_decisions, ServeClient, ServeConfig, Server, SessionModel};
 
     let trace: Vec<(MemAccess, bool)> = {
