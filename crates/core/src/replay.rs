@@ -333,7 +333,7 @@ impl ReplayMemory {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn st(v: f32) -> Vec<f32> {
         vec![v; 4]
@@ -542,6 +542,128 @@ mod tests {
         for id in m.sample_ids(64, &mut rng) {
             assert!(m.get(id).unwrap().is_valid());
         }
+    }
+
+    /// FNV-1a over the little-endian bytes of one 64-bit word.
+    fn fnv_word(h: &mut u64, w: u64) {
+        for b in w.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Drive a memory of `capacity` slots and reward window `window`
+    /// through a seeded stream of `push`, `set_next_state`, `on_access`
+    /// and `sample_into` calls. Returns a digest of every observable (the
+    /// pushed ids, every `assigned` pair, `valid_len` after each call, the
+    /// sampled ids and the reward of each transition still stored at the
+    /// end) and how often each edge case came up: pushes with a duplicate
+    /// block, multi-block pushes, NP pushes, accesses to a block that an
+    /// earlier access consumed (no push listed it since), and pushes that
+    /// reuse the slot of a transition whose reward is still open.
+    fn pinned_run(window: usize, capacity: usize, seed: u64, steps: u64) -> (u64, [u32; 5]) {
+        let mut m = ReplayMemory::new(capacity, window, 2);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x4e91_a7c0_5eed_0000);
+        let mut sample_rng = StdRng::seed_from_u64(seed);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut cases = [0u32; 5];
+        let mut consumed = [false; 20];
+        let (mut assigned, mut ids, mut blocks) = (Vec::new(), Vec::new(), Vec::new());
+        let mut pushed = 0u64;
+        for step in 0..steps {
+            match rng.gen_range(0..16u32) {
+                0..=5 => {
+                    let block = rng.gen_range(0..20u64);
+                    cases[3] += u32::from(consumed[block as usize]);
+                    m.on_access(block, &mut assigned);
+                    consumed[block as usize] |= assigned.iter().any(|&(_, r)| r > 0.0);
+                    fnv_word(&mut h, assigned.len() as u64);
+                    for &(id, r) in &assigned {
+                        fnv_word(&mut h, id);
+                        fnv_word(&mut h, r.to_bits() as u64);
+                    }
+                }
+                6..=11 => {
+                    blocks.clear();
+                    if rng.gen_bool(0.25) {
+                        cases[2] += 1;
+                    } else {
+                        for _ in 0..rng.gen_range(1..=3usize) {
+                            blocks.push(rng.gen_range(0..16u64));
+                        }
+                        cases[1] += u32::from(blocks.len() > 1);
+                        cases[0] +=
+                            u32::from((1..blocks.len()).any(|i| blocks[..i].contains(&blocks[i])));
+                        for &b in &blocks {
+                            consumed[b as usize] = false;
+                        }
+                    }
+                    let cap = capacity as u64;
+                    if pushed >= cap && m.get(pushed - cap).is_some_and(|t| t.reward.is_none()) {
+                        cases[4] += 1;
+                    }
+                    let id = m.push(&[step as f32, 0.5], rng.gen_range(0..5), &blocks);
+                    fnv_word(&mut h, id);
+                    pushed += 1;
+                }
+                12..=14 => {
+                    // Mostly the newest push; sometimes an older, possibly
+                    // overwritten one.
+                    if pushed > 0 {
+                        let back = if rng.gen_bool(0.75) {
+                            1
+                        } else {
+                            rng.gen_range(1..=pushed.min(2 * capacity as u64))
+                        };
+                        m.set_next_state(pushed - back, &[step as f32, 1.5]);
+                    }
+                }
+                _ => {
+                    m.sample_into(rng.gen_range(1..=8), &mut sample_rng, &mut ids);
+                    fnv_word(&mut h, ids.len() as u64);
+                    for &id in &ids {
+                        fnv_word(&mut h, id);
+                    }
+                }
+            }
+            fnv_word(&mut h, m.valid_len() as u64);
+        }
+        for id in pushed.saturating_sub(capacity as u64)..pushed {
+            let t = m.get(id).expect("the last `capacity` pushes are stored");
+            fnv_word(&mut h, t.reward.map_or(u64::MAX, |r| r.to_bits() as u64));
+        }
+        (h, cases)
+    }
+
+    /// Pins the memory's observable behaviour bit for bit across seeds,
+    /// windows and capacities (above the window and equal to it): a
+    /// change to reward crediting, expiry, slot reuse or the order of the
+    /// sampleable set moves a digest.
+    #[test]
+    fn seeded_runs_match_pinned_digests() {
+        let pinned: [(usize, usize, u64); 6] = [
+            (3, 3, 0xef39_2e2c_ab0f_2e3a),
+            (3, 16, 0x9cd8_296d_8b34_3886),
+            (8, 8, 0xc08f_d6d6_33d6_58a1),
+            (8, 40, 0xf6ea_2b02_c2da_e350),
+            (256, 256, 0xc6fa_5fcd_32da_e5a6),
+            (256, 400, 0x73ba_e1af_92f4_b343),
+        ];
+        let mut cases = [0u32; 5];
+        for (window, capacity, want) in pinned {
+            let mut h = 0u64;
+            for seed in 1..=3 {
+                let (d, c) = pinned_run(window, capacity, seed, 3_000);
+                fnv_word(&mut h, d);
+                for (total, n) in cases.iter_mut().zip(c) {
+                    *total += n;
+                }
+            }
+            assert_eq!(
+                h, want,
+                "window {window}, capacity {capacity}: digest {h:#018x}"
+            );
+        }
+        assert!(cases.iter().all(|&n| n > 0), "edge cases {cases:?}");
     }
 
     #[test]
