@@ -6,24 +6,18 @@
 //! entries down to `A · #unique-states` (Table IV). The table is one flat
 //! `f32` array holding row `token` at `token·A .. (token+1)·A`.
 //!
-//! Rewards arrive lazily through a pending buffer (no replay memory
-//! needed: each transition performs exactly one Q update once its reward
-//! and next state are known, Eq. 13). The buffer keeps the same
-//! bookkeeping as [`ReplayMemory`](crate::replay::ReplayMemory), so an
-//! access costs O(1) amortized rather than a scan of up to 2W entries:
-//!
-//! - Transitions get monotone ids and are stored in id order, so
-//!   transition `id` sits at index `id - base_id`.
-//! - An expiry cursor remembers how far the reward horizon (`W` records
-//!   back) has swept; an access finalizes only the ids that crossed it
-//!   since the previous access.
-//! - A transition is queued the moment its reward and next token are both
-//!   known, and each call applies only what it queued.
+//! No replay memory is needed: each transition performs exactly one Q
+//! update (Eq. 13) once its reward and next state are known. Rewards come
+//! from the reward ledger the replay memory uses too (`agent::ledger`).
+//! Transitions wait in id order (transition `id` at `id - base_id`) and
+//! are queued the moment their reward and next token are both known; each
+//! call applies only what it queued.
 //!
 //! Update order is part of the result: Eq. 13 updates that share a Q row
 //! do not commute, so the transitions that become ready within one call
 //! are applied in ascending id order.
 
+use super::ledger::{Reward, RewardLedger};
 use crate::config::ResembleConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,10 +29,6 @@ use std::collections::VecDeque;
 struct Pending {
     token: u32,
     action: usize,
-    /// Issued prefetch blocks while the reward is open (empty for NP);
-    /// returned to the spare pool once it is final.
-    blocks: Vec<u64>,
-    hits: u32,
     reward: Option<f32>,
     next_token: Option<u32>,
 }
@@ -55,15 +45,10 @@ pub struct TabularAgent {
     /// transitions in id order; `pending[i]` has id `base_id + i`
     pending: VecDeque<Pending>,
     base_id: u64,
-    /// lowest id the expiry sweep has not passed yet
-    expire_next: u64,
-    /// block → ids of open transitions that prefetched it
-    by_block: FxHashMap<u64, Vec<u64>>,
-    /// cleared vectors reused by `by_block` and `Pending::blocks`
-    spare: Vec<Vec<u64>>,
+    /// open rewards; numbers the transitions
+    ledger: RewardLedger,
     /// ids that became ready (reward and next token known) this call
     ready: Vec<u64>,
-    next_id: u64,
     rng: StdRng,
     step: u64,
     /// Q updates performed
@@ -81,11 +66,8 @@ impl TabularAgent {
             q: Vec::new(),
             pending: VecDeque::new(),
             base_id: 0,
-            expire_next: 0,
-            by_block: FxHashMap::default(),
-            spare: Vec::new(),
+            ledger: RewardLedger::new(cfg.window),
             ready: Vec::new(),
-            next_id: 0,
             rng: StdRng::seed_from_u64(seed),
             step: 0,
             updates: 0,
@@ -179,30 +161,14 @@ impl TabularAgent {
     /// Like the replay memory, the reward is the number of issued blocks
     /// demanded within the window (or −1 when none is).
     pub fn record(&mut self, token: u32, action: usize, prefetch_blocks: &[u64]) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let (reward, blocks) = if prefetch_blocks.is_empty() {
-            (Some(0.0), Vec::new())
-        } else {
-            let mut blocks = self.spare.pop().unwrap_or_default();
-            blocks.extend_from_slice(prefetch_blocks);
-            (None, blocks)
-        };
+        let id = self.ledger.open(prefetch_blocks);
+        debug_assert_eq!(id, self.base_id + self.pending.len() as u64);
         self.pending.push_back(Pending {
             token,
             action,
-            blocks,
-            hits: 0,
-            reward,
+            reward: prefetch_blocks.is_empty().then_some(0.0),
             next_token: None,
         });
-        for &b in prefetch_blocks {
-            let spare = &mut self.spare;
-            self.by_block
-                .entry(b)
-                .or_insert_with(|| spare.pop().unwrap_or_default())
-                .push(id);
-        }
         // Bound the buffer: entries older than the reward window that were
         // already applied can go. A transition is applied by the call that
         // completes its reward and next token, so between calls "applied"
@@ -238,65 +204,26 @@ impl TabularAgent {
         self.apply_ready();
     }
 
-    /// Process a demand access: credits hits to pending prefetches of
-    /// `block`, finalizes entries older than the window (+hits or −1) —
-    /// the lazy-sampling analogue. `assigned` receives the +1 hit credits
-    /// in `block`'s list order, then the −1 expiries in id order.
+    /// Process a demand access: the ledger credits hits to open
+    /// prefetches of `block` and finalizes the transitions that left the
+    /// window (+hits or −1) — the lazy-sampling analogue. `assigned`
+    /// receives the +1 hit credits in `block`'s list order, then the −1
+    /// expiries in id order.
     pub fn on_access(&mut self, block: u64, assigned: &mut Vec<f32>) {
         assigned.clear();
-        if let Some(mut ids) = self.by_block.remove(&block) {
-            for &id in &ids {
-                // Ids below `base_id` have left the buffer.
-                let Some(p) = id
-                    .checked_sub(self.base_id)
-                    .and_then(|i| self.pending.get_mut(i as usize))
-                else {
-                    continue;
-                };
-                if p.reward.is_none() {
-                    p.hits += 1;
-                    assigned.push(1.0);
-                    if p.hits as usize >= p.blocks.len() {
-                        p.reward = Some(p.hits as f32);
-                        recycle(&mut self.spare, std::mem::take(&mut p.blocks));
-                        if p.next_token.is_some() {
-                            self.ready.push(id);
-                        }
-                    }
+        self.ledger.on_access(block, |id, r| match r {
+            Reward::Hit => assigned.push(1.0),
+            Reward::Final(r) => {
+                if r < 0.0 {
+                    assigned.push(r);
+                }
+                let p = &mut self.pending[(id - self.base_id) as usize];
+                p.reward = Some(r);
+                if p.next_token.is_some() {
+                    self.ready.push(id);
                 }
             }
-            ids.clear();
-            self.spare.push(ids);
-        }
-        let horizon = self.next_id.saturating_sub(self.cfg.window as u64);
-        self.expire_next = self.expire_next.max(self.base_id);
-        while self.expire_next < horizon {
-            let id = self.expire_next;
-            self.expire_next += 1;
-            let p = &mut self.pending[(id - self.base_id) as usize];
-            if p.reward.is_some() {
-                continue;
-            }
-            p.reward = Some(if p.hits > 0 { p.hits as f32 } else { -1.0 });
-            if p.hits == 0 {
-                assigned.push(-1.0);
-            }
-            if p.next_token.is_some() {
-                self.ready.push(id);
-            }
-            // Drop the stale `by_block` references.
-            let blocks = std::mem::take(&mut p.blocks);
-            for b in &blocks {
-                if let Some(ids) = self.by_block.get_mut(b) {
-                    ids.retain(|&x| x != id);
-                    if ids.is_empty() {
-                        let ids = self.by_block.remove(b).expect("key just read");
-                        self.spare.push(ids);
-                    }
-                }
-            }
-            recycle(&mut self.spare, blocks);
-        }
+        });
         self.apply_ready();
     }
 
@@ -323,12 +250,6 @@ impl TabularAgent {
         self.updates += self.ready.len() as u64;
         self.ready.clear();
     }
-}
-
-/// Return a vector to the spare pool, emptied.
-fn recycle(spare: &mut Vec<Vec<u64>>, mut v: Vec<u64>) {
-    v.clear();
-    spare.push(v);
 }
 
 #[cfg(test)]

@@ -3,11 +3,12 @@
 //! wrapping a [`PrefetcherBank`] and implementing [`Prefetcher`] so the
 //! simulator can host them like any hardware prefetcher.
 //!
-//! Each access executes one iteration of Algorithm 1: collect the bank's
-//! suggestions (observation), preprocess to a state vector, update the
-//! previous transition's next-state, deliver lazy rewards from the current
-//! address, select an action ε-greedily, issue the chosen suggestion (or
-//! nothing for NP), and run the online-training tick.
+//! Each access executes one iteration of Algorithm 1: deliver lazy rewards
+//! from the current address (the replay memory and the tabular agent
+//! share one reward ledger), preprocess the bank's observation in place
+//! into a state vector, complete the previous transition's next state,
+//! select an action ε-greedily, issue the chosen suggestion (or nothing
+//! for NP), and run the online-training tick.
 
 use crate::agent::dqn::{Datapath, DqnAgent};
 use crate::agent::tabular::TabularAgent;
@@ -100,7 +101,6 @@ pub struct ResembleMlp {
     seed: u64,
     datapath: Datapath,
     prev_id: Option<u64>,
-    obs_buf: Vec<Option<u64>>,
     state_buf: Vec<f32>,
     blocks_buf: Vec<u64>,
     assigned: Vec<(u64, f32)>,
@@ -129,7 +129,6 @@ impl ResembleMlp {
             bank,
             datapath: Datapath::default(),
             prev_id: None,
-            obs_buf: Vec::new(),
             state_buf: Vec::new(),
             blocks_buf: Vec::new(),
             assigned: Vec::new(),
@@ -286,17 +285,8 @@ impl ResembleMlp {
             while let Some((_, e)) = events.next_if(|&&(at, _)| at <= base + k) {
                 self.bank.on_cache_events(std::slice::from_ref(e));
             }
-            self.obs_buf.clear();
-            self.obs_buf
-                .extend_from_slice(self.bank.observe(access, *hit));
-            for j in 0..members {
-                let sugg = self.bank.suggestions(j);
-                let off = self.win_sugg.len();
-                self.win_sugg.extend_from_slice(sugg);
-                self.win_spans.push((off, sugg.len()));
-            }
             mlp_state(
-                &self.obs_buf,
+                self.bank.observe(access, *hit),
                 &self.kinds,
                 access.addr,
                 access.pc,
@@ -304,6 +294,12 @@ impl ResembleMlp {
                 &mut self.state_buf,
             );
             self.win_states.row_mut(k).copy_from_slice(&self.state_buf);
+            for j in 0..members {
+                let sugg = self.bank.suggestions(j);
+                let off = self.win_sugg.len();
+                self.win_sugg.extend_from_slice(sugg);
+                self.win_spans.push((off, sugg.len()));
+            }
         }
         for (_, e) in events {
             self.bank.on_cache_events(std::slice::from_ref(e));
@@ -395,11 +391,8 @@ impl Prefetcher for ResembleMlp {
         let reward_sum: f64 = self.assigned.iter().map(|&(_, r)| r as f64).sum();
 
         // Observation and state (Eq. 4–6).
-        self.obs_buf.clear();
-        self.obs_buf
-            .extend_from_slice(self.bank.observe(access, hit));
         mlp_state(
-            &self.obs_buf,
+            self.bank.observe(access, hit),
             &self.kinds,
             access.addr,
             access.pc,
@@ -476,7 +469,6 @@ pub struct ResembleTabular {
     cfg: ResembleConfig,
     hash_bits: u32,
     seed: u64,
-    obs_buf: Vec<Option<u64>>,
     state_buf: Vec<u16>,
     blocks_buf: Vec<u64>,
     rewards_buf: Vec<f32>,
@@ -498,7 +490,6 @@ impl ResembleTabular {
             hash_bits,
             seed,
             bank,
-            obs_buf: Vec::new(),
             state_buf: Vec::new(),
             blocks_buf: Vec::new(),
             rewards_buf: Vec::new(),
@@ -535,11 +526,8 @@ impl Prefetcher for ResembleTabular {
         self.agent.on_access(block, &mut self.rewards_buf);
         let reward_sum: f64 = self.rewards_buf.iter().map(|&r| r as f64).sum();
 
-        self.obs_buf.clear();
-        self.obs_buf
-            .extend_from_slice(self.bank.observe(access, hit));
         tabular_state(
-            &self.obs_buf,
+            self.bank.observe(access, hit),
             &self.kinds,
             access.addr,
             access.pc,

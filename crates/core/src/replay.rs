@@ -2,13 +2,10 @@
 //!
 //! A transition `(s_t, a_t, p_t, r_t, s_{t+1})` is pushed as soon as the
 //! action is taken, but its reward arrives asynchronously from cache
-//! feedback. The paper's reward is ±1 on the single issued prefetch; since
-//! our ensemble actions issue the selected prefetcher's *full* suggestion
-//! list (see `PrefetcherBank::suggestions`), the reward generalizes to the
-//! number of issued blocks demanded within the window `W` (+k), or −1 when
-//! none is — it degenerates to the paper's ±1 when every member suggests a
-//! single address, and aligns the learning signal with the coverage metric
-//! the evaluation reports. "No prefetch" still rewards 0 immediately.
+//! feedback. The memory's reward ledger (`agent::ledger`, the one the
+//! tabular agent uses too) assigns it: +k for k issued blocks demanded
+//! within the window `W`, −1 when none is, and 0 at once for "no
+//! prefetch".
 //!
 //! Only transitions whose reward *and* next state are known ("valid") may
 //! be sampled for training — invalid transitions stay pended. This is the
@@ -25,23 +22,18 @@
 //! `FxHashMap`) so drawing a batch is O(batch), not an O(live) prune per
 //! training step.
 
+use crate::agent::ledger::{Reward, RewardLedger};
 use resemble_nn::AlignedVec;
 use resemble_trace::util::FxHashMap;
-use std::collections::VecDeque;
 
 /// Per-slot transition bookkeeping; the state vectors live in the flat
 /// rings owned by [`ReplayMemory`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Slot {
     /// Monotone id of the occupant; doubles as the access timestamp.
     id: u64,
     /// Action index a_t.
     action: usize,
-    /// Block numbers of the issued prefetches (allocation reused across
-    /// ring laps; empty for NP / padding).
-    blocks: Vec<u64>,
-    /// Hits observed so far among `blocks`.
-    hits: u32,
     /// Reward r_t once finalized.
     reward: Option<f32>,
     /// `true` once s_{t+1} has been written to the next-state ring.
@@ -59,10 +51,6 @@ pub struct TransitionView<'a> {
     pub state: &'a [f32],
     /// Action index a_t.
     pub action: usize,
-    /// Block numbers of the issued prefetches (empty for NP / padding).
-    pub prefetch_blocks: &'a [u64],
-    /// Hits observed so far among `prefetch_blocks`.
-    pub hits: u32,
     /// Reward r_t once finalized.
     pub reward: Option<f32>,
     /// Next state s_{t+1} once known.
@@ -76,14 +64,11 @@ impl TransitionView<'_> {
     }
 }
 
-/// Ring-buffer replay memory with pending-reward tracking and flat state
-/// storage.
+/// Ring-buffer replay memory with lazy rewards and flat state storage.
 #[derive(Debug)]
 pub struct ReplayMemory {
     capacity: usize,
     state_dim: usize,
-    next_id: u64,
-    window: u64,
     /// flat `slots.len() × state_dim` ring of states s_t, 64-byte
     /// aligned for the SIMD minibatch gather
     states: AlignedVec,
@@ -92,10 +77,8 @@ pub struct ReplayMemory {
     /// one per slot reached so far (at most `capacity`); every one is
     /// occupied
     slots: Vec<Slot>,
-    /// pending ids in order, awaiting reward finalization
-    pending: VecDeque<u64>,
-    /// block → pending transition ids with that block outstanding
-    by_block: FxHashMap<u64, Vec<u64>>,
+    /// open rewards; numbers the transitions
+    ledger: RewardLedger,
     /// currently-valid (sampleable) ids, maintained incrementally
     valid_ids: Vec<u64>,
     /// id → index into `valid_ids`, for O(1) swap-removal
@@ -110,13 +93,10 @@ impl ReplayMemory {
         Self {
             capacity,
             state_dim,
-            next_id: 0,
-            window: window as u64,
             states: AlignedVec::new(),
             next_states: AlignedVec::new(),
             slots: Vec::new(),
-            pending: VecDeque::new(),
-            by_block: FxHashMap::default(),
+            ledger: RewardLedger::new(window),
             valid_ids: Vec::new(),
             valid_pos: FxHashMap::default(),
         }
@@ -134,7 +114,7 @@ impl ReplayMemory {
 
     /// `true` when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.next_id == 0
+        self.slots.is_empty()
     }
 
     /// Number of currently-valid (sampleable) transitions.
@@ -145,13 +125,6 @@ impl ReplayMemory {
     #[inline]
     fn slot_of(&self, id: u64) -> usize {
         (id % self.capacity as u64) as usize
-    }
-
-    /// Mark `id` sampleable.
-    fn mark_valid(&mut self, id: u64) {
-        debug_assert!(!self.valid_pos.contains_key(&id));
-        self.valid_pos.insert(id, self.valid_ids.len());
-        self.valid_ids.push(id);
     }
 
     /// Drop `id` from the sampleable set (no-op when absent): O(1)
@@ -172,41 +145,27 @@ impl ReplayMemory {
     /// means NP (or a padded selection): the reward is 0 immediately.
     pub fn push(&mut self, state: &[f32], action: usize, prefetch_blocks: &[u64]) -> u64 {
         assert_eq!(state.len(), self.state_dim, "state width mismatch");
-        let id = self.next_id;
-        self.next_id += 1;
+        let id = self.ledger.open(prefetch_blocks);
         let slot = self.slot_of(id);
+        let s = Slot {
+            id,
+            action,
+            reward: prefetch_blocks.is_empty().then_some(0.0),
+            has_next: false,
+        };
         if slot == self.slots.len() {
             // First lap: grow the slots and both rings by one.
-            self.slots.push(Slot::default());
+            self.slots.push(s);
             let len = self.slots.len() * self.state_dim;
             self.states.resize(len, 0.0);
             self.next_states.resize(len, 0.0);
         } else {
             // Ring lap: the previous occupant leaves the sampleable set
-            // before its storage is reused. Stale `pending`/`by_block`
-            // references are filtered by the id check at their use sites.
-            let old = self.slots[slot].id;
-            self.unmark_valid(old);
+            // before its storage is reused.
+            self.unmark_valid(self.slots[slot].id);
+            self.slots[slot] = s;
         }
         self.states[slot * self.state_dim..(slot + 1) * self.state_dim].copy_from_slice(state);
-        let s = &mut self.slots[slot];
-        s.id = id;
-        s.action = action;
-        s.blocks.clear();
-        s.blocks.extend_from_slice(prefetch_blocks);
-        s.hits = 0;
-        s.reward = if prefetch_blocks.is_empty() {
-            Some(0.0)
-        } else {
-            None
-        };
-        s.has_next = false;
-        if !prefetch_blocks.is_empty() {
-            self.pending.push_back(id);
-            for &b in prefetch_blocks {
-                self.by_block.entry(b).or_default().push(id);
-            }
-        }
         id
     }
 
@@ -222,69 +181,41 @@ impl ReplayMemory {
             let newly_valid = !s.has_next && s.reward.is_some();
             s.has_next = true;
             if newly_valid {
-                self.mark_valid(id);
+                self.valid_pos.insert(id, self.valid_ids.len());
+                self.valid_ids.push(id);
             }
         }
     }
 
-    /// Process a demand access to `block`: credits hits to pending
-    /// transitions that prefetched it, and finalizes transitions older
-    /// than the window (+hits, or −1 when none hit). Returns the
-    /// `(id, reward)` pairs finalized or credited this call (hit credits
-    /// are reported as +1 each, matching the paper's per-hit feedback).
+    /// Process a demand access to `block`: `assigned` receives the
+    /// `(id, reward)` pairs the access assigns — +1 for each hit credited
+    /// to a transition that prefetched `block` (the paper's per-hit
+    /// feedback), then −1 for each transition that left the window
+    /// without a hit. A transition becomes sampleable once its reward is
+    /// final and its next state known. Reports about a transition whose
+    /// slot a later push reused are dropped.
     pub fn on_access(&mut self, block: u64, assigned: &mut Vec<(u64, f32)>) {
         assigned.clear();
-        // Hits: credit each pending transition that prefetched this block.
-        if let Some(ids) = self.by_block.remove(&block) {
-            for id in ids {
-                let slot = self.slot_of(id);
-                let s = &mut self.slots[slot];
-                if s.id == id && s.reward.is_none() {
-                    s.hits += 1;
-                    assigned.push((id, 1.0));
-                    // All blocks hit: finalize early.
-                    if s.hits as usize >= s.blocks.len() {
-                        s.reward = Some(s.hits as f32);
-                        if s.has_next {
-                            self.mark_valid(id);
-                        }
+        let capacity = self.capacity as u64;
+        self.ledger.on_access(block, |id, r| {
+            let s = &mut self.slots[(id % capacity) as usize];
+            if s.id != id {
+                return;
+            }
+            match r {
+                Reward::Hit => assigned.push((id, 1.0)),
+                Reward::Final(r) => {
+                    if r < 0.0 {
+                        assigned.push((id, r));
+                    }
+                    s.reward = Some(r);
+                    if s.has_next {
+                        self.valid_pos.insert(id, self.valid_ids.len());
+                        self.valid_ids.push(id);
                     }
                 }
             }
-        }
-        // Expiry: finalize pending transitions older than `window`.
-        let horizon = self.next_id.saturating_sub(self.window);
-        while let Some(&id) = self.pending.front() {
-            if id >= horizon {
-                break;
-            }
-            self.pending.pop_front();
-            let slot = self.slot_of(id);
-            let s = &mut self.slots[slot];
-            if !(s.id == id && s.reward.is_none()) {
-                continue;
-            }
-            let r = if s.hits > 0 { s.hits as f32 } else { -1.0 };
-            s.reward = Some(r);
-            if s.hits == 0 {
-                assigned.push((id, -1.0));
-            }
-            let finalize_valid = s.has_next;
-            // Drop stale by_block references (borrow of `s` ends here).
-            let blocks = std::mem::take(&mut self.slots[slot].blocks);
-            for &b in &blocks {
-                if let Some(ids) = self.by_block.get_mut(&b) {
-                    ids.retain(|&x| x != id);
-                    if ids.is_empty() {
-                        self.by_block.remove(&b);
-                    }
-                }
-            }
-            self.slots[slot].blocks = blocks;
-            if finalize_valid {
-                self.mark_valid(id);
-            }
-        }
+        });
     }
 
     /// Lazy sampling: draw up to `batch` ids uniformly (with replacement)
@@ -300,13 +231,6 @@ impl ReplayMemory {
         out.extend((0..take).map(|_| self.valid_ids[rng.gen_range(0..n)]));
     }
 
-    /// Allocating convenience wrapper around [`ReplayMemory::sample_into`].
-    pub fn sample_ids(&self, batch: usize, rng: &mut impl rand::Rng) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.sample_into(batch, rng, &mut out);
-        out
-    }
-
     /// Fetch a transition view by id (None if overwritten or not yet
     /// pushed).
     pub fn get(&self, id: u64) -> Option<TransitionView<'_>> {
@@ -317,8 +241,6 @@ impl ReplayMemory {
             id,
             state: &self.states[range.clone()],
             action: s.action,
-            prefetch_blocks: &s.blocks,
-            hits: s.hits,
             reward: s.reward,
             next_state: if s.has_next {
                 Some(&self.next_states[range])
@@ -369,7 +291,7 @@ mod tests {
         m.set_next_state(id, &st(0.5));
         let mut a = Vec::new();
         m.on_access(0x10, &mut a);
-        assert_eq!(m.get(id).unwrap().hits, 1);
+        assert_eq!(a, vec![(id, 1.0)]);
         assert!(
             m.get(id).unwrap().reward.is_none(),
             "not final until all hit or expiry"
@@ -432,7 +354,8 @@ mod tests {
         m.set_next_state(v, &st(0.5));
         let p = m.push(&st(1.0), 0, &[0x7]);
         m.set_next_state(p, &st(1.5));
-        let ids = m.sample_ids(10, &mut rng);
+        let mut ids = Vec::new();
+        m.sample_into(10, &mut rng, &mut ids);
         assert!(!ids.is_empty());
         assert!(
             ids.iter().all(|&i| i == v),
@@ -451,7 +374,8 @@ mod tests {
         }
         assert!(m.get(first).is_none(), "overwritten");
         let mut rng = StdRng::seed_from_u64(2);
-        let ids = m.sample_ids(16, &mut rng);
+        let mut ids = Vec::new();
+        m.sample_into(16, &mut rng, &mut ids);
         assert!(ids.iter().all(|&i| m.get(i).is_some()));
         assert!(m.valid_len() <= 4);
     }
@@ -502,7 +426,6 @@ mod tests {
         let t = m.get(id).unwrap();
         assert_eq!(t.state, &[0.1, 0.2, 0.3]);
         assert_eq!(t.action, 2);
-        assert_eq!(t.prefetch_blocks, &[0x9]);
         assert!(t.next_state.is_none());
         m.set_next_state(id, &[0.4, 0.5, 0.6]);
         assert_eq!(m.get(id).unwrap().next_state, Some(&[0.4, 0.5, 0.6][..]));
@@ -539,7 +462,9 @@ mod tests {
             assert!(m.valid_len() <= 8);
         }
         let mut rng = StdRng::seed_from_u64(9);
-        for id in m.sample_ids(64, &mut rng) {
+        let mut ids = Vec::new();
+        m.sample_into(64, &mut rng, &mut ids);
+        for id in ids {
             assert!(m.get(id).unwrap().is_valid());
         }
     }

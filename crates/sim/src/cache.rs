@@ -347,22 +347,6 @@ impl Cache {
         evicted
     }
 
-    /// Invalidate a block (back-invalidation), returning whether it was
-    /// present.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let block = block_of(addr);
-        let base = self.set_of(block) * self.ways;
-        match self.probe(base, block) {
-            Some(w) => {
-                self.tags[base + w] = INVALID_TAG;
-                // Zeroed bookkeeping makes the freed way the next victim.
-                self.meta[base + w] = 0;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Drop all contents.
     pub fn clear(&mut self) {
         self.tags.fill(INVALID_TAG);
@@ -505,15 +489,6 @@ mod tests {
         let ev = c.fill(0x40 + 4 * 64, false, false).unwrap();
         assert_eq!(ev.block, 1);
         assert!(!ev.unused_prefetch);
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = small();
-        c.fill(0x1000, false, false);
-        assert!(c.invalidate(0x1000));
-        assert!(!c.contains(0x1000));
-        assert!(!c.invalidate(0x1000));
     }
 
     #[test]

@@ -84,11 +84,6 @@ impl VecSource {
         Self { trace, pos: 0 }
     }
 
-    /// Rewind to the beginning.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
     /// Number of accesses remaining.
     pub fn remaining(&self) -> usize {
         self.trace.len() - self.pos
@@ -141,11 +136,10 @@ mod tests {
     fn vec_source_replays_and_exhausts() {
         let t = vec![MemAccess::load(0, 1, 0x40), MemAccess::load(1, 1, 0x80)];
         let mut s = VecSource::new(t.clone());
+        assert_eq!(s.remaining(), 2);
         assert_eq!(s.collect_n(10), t);
         assert!(s.next_access().is_none());
-        s.rewind();
-        assert_eq!(s.remaining(), 2);
-        assert_eq!(s.next_access(), Some(t[0]));
+        assert_eq!(s.remaining(), 0);
     }
 
     #[test]
